@@ -83,13 +83,17 @@ def _load_target(path: str):
     return target_from_edges(data["k"], [tuple(e) for e in data["edges"]])
 
 
-def _emit(records: list[dict], out: str | None) -> None:
-    text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+def _write(text: str, out: str | None) -> None:
+    """The one output writer: the whole report to --out, or to stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(records: list[dict], out: str | None) -> None:
+    _write("".join(json.dumps(r, sort_keys=True) + "\n" for r in records), out)
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +140,9 @@ def cmd_count(args) -> int:
         writer.writerow(["graph6", "n", "q", "method", "value"])
         for rec in records:
             writer.writerow([rec["graph6"], rec["n"], rec["q"], rec["method"], rec["value"]])
-        (open(args.out, "w") if args.out else sys.stdout).write(buf.getvalue())
+        _write(buf.getvalue(), args.out)
     else:
-        lines = "".join(f"{rec['graph6']} q={rec['q']} {rec['value']}\n" for rec in records)
-        (open(args.out, "w") if args.out else sys.stdout).write(lines)
+        _write("".join(f"{rec['graph6']} q={rec['q']} {rec['value']}\n" for rec in records), args.out)
     return EXIT_CROSSCHECK if mismatch else EXIT_OK
 
 
@@ -239,7 +242,7 @@ def cmd_verify(args) -> int:
         for r in results:
             if r["type"] == "verdict":
                 writer.writerow([r["graph6"], r["n"], r["d"], r["q"], r["target"], r["holds"], r["equality"], r["slack_log2"]])
-        (open(args.out, "w") if args.out else sys.stdout).write(buf.getvalue())
+        _write(buf.getvalue(), args.out)
     else:
         _emit(results + [summary], args.out)
     return EXIT_VIOLATION if failures else EXIT_OK

@@ -2,6 +2,11 @@
 homomorphisms and independent sets, plus the independence number and the
 deterministic greedy maximal matching.
 
+Colorings are counted by backtracking, or read off the chromatic polynomial,
+which one frontier pass over the vertices computes (a dynamic program over
+colour-class partitions of the frontier).  The two share only the vertex
+order, so `count --method both` compares independent algorithms.
+
 All counts are exact Python integers; nothing here rounds.
 """
 from __future__ import annotations
@@ -9,7 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import CapExceededError, InvalidParameterError
-from .graphs import Graph, TargetGraph, _canonical_blocks, _pack_blocks, vertices_of
+from .graphs import Graph, TargetGraph
 
 DEFAULT_POLY_CAP = 14
 
@@ -38,9 +43,9 @@ def _bfs_order(g: Graph) -> list[int]:
 
 def count_colorings(g: Graph, q: int, method: str = "backtrack") -> int:
     """Number of functions V -> {1..q} with adjacent vertices mapped to
-    different values.  `method` selects the backtracking counter or the
-    deletion-contraction polynomial evaluated at q; both are exact and must
-    agree."""
+    different values.  `method` selects the backtracking counter (one leaf
+    per coloring) or the frontier-pass chromatic polynomial evaluated at q;
+    both are exact and must agree."""
     if q < 0:
         raise InvalidParameterError("q must be non-negative")
     if method == "backtrack":
@@ -80,107 +85,60 @@ def _count_backtrack(g: Graph, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Chromatic polynomial by deletion-contraction
+# Chromatic polynomial by a frontier pass
 # ---------------------------------------------------------------------------
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
-
-
-def _poly_sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for j, bj in enumerate(b):
-        out[j] -= bj
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _component_masks(rows: Sequence[int], n: int) -> list[int]:
-    comps = []
-    unseen = (1 << n) - 1
-    while unseen:
-        start = unseen & -unseen
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            f = frontier
-            v = 0
-            while f:
-                if f & 1:
-                    nxt |= rows[v]
-                f >>= 1
-                v += 1
-            frontier = nxt & ~seen
-            seen |= frontier
-        comps.append(seen)
-        unseen &= ~seen
-    return comps
-
-
-def _induced_rows(rows: Sequence[int], mask: int) -> tuple[list[int], int]:
-    verts = vertices_of(mask)
-    index = {v: i for i, v in enumerate(verts)}
-    out = []
-    for v in verts:
-        r = rows[v] & mask
-        nr = 0
-        for w in vertices_of(r):
-            nr |= 1 << index[w]
-        out.append(nr)
-    return out, len(verts)
-
 
 def chromatic_polynomial(g: Graph, cap: int = DEFAULT_POLY_CAP) -> tuple[int, ...]:
     """Coefficients of the chromatic polynomial in the monomial basis:
-    coeffs[k] is the coefficient of q**k.  Deletion-contraction with
-    memoization on the canonical form, factoring over components first."""
+    coeffs[k] is the coefficient of q**k.
+
+    One frontier pass (Sekine-Imai-Tani) over the vertices in BFS order.  The
+    frontier is the placed vertices that still have an unplaced neighbour; a
+    state is the partition of the frontier into colour classes, labelled by
+    first appearance, and carries the polynomial counting the colourings of
+    the placed vertices that induce it.  A new vertex joins a frontier class
+    holding none of its neighbours, or opens a new class: (q - b) colours for
+    b frontier classes."""
     if g.n > cap:
         raise CapExceededError(f"n={g.n} exceeds polynomial cap {cap}")
-    memo: dict[tuple[int, int], tuple[int, ...]] = {}
-    return _poly(list(g.rows), g.n, memo)
+    n = g.n
+    order = _bfs_order(g)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    # a vertex stays on the frontier until its last neighbour is placed
+    leaves = [max((pos[w] for w in g.neighbors(v)), default=-1) for v in range(n)]
+    frontier: list[int] = []
+    table: dict[tuple[int, ...], list[int]] = {(): [1] + [0] * n}
+    for i, v in enumerate(order):
+        adj = [j for j, u in enumerate(frontier) if (g.rows[v] >> u) & 1]
+        frontier.append(v)
+        keep = [j for j, u in enumerate(frontier) if leaves[u] > i]
+        frontier = [frontier[j] for j in keep]
+        nxt: dict[tuple[int, ...], list[int]] = {}
+        for state, w in table.items():
+            b = max(state) + 1 if state else 0
+            banned = {state[j] for j in adj}
+            for c in range(b):
+                if c not in banned:
+                    _accumulate(nxt, state + (c,), keep, w)
+            # w * (q - b), shifted within the fixed length n + 1
+            _accumulate(nxt, state + (b,), keep, [-b * w[0]] + [w[k - 1] - b * w[k] for k in range(1, n + 1)])
+        table = nxt
+    (coeffs,) = table.values()
+    return tuple(coeffs)
 
 
-def _poly(rows: list[int], n: int, memo: dict) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    comps = _component_masks(rows, n)
-    if len(comps) > 1:
-        out: tuple[int, ...] = (1,)
-        for cm in comps:
-            sub, m = _induced_rows(rows, cm)
-            out = _poly_mul(out, _poly(sub, m, memo))
-        return out
-    if all(r == 0 for r in rows):
-        return (0,) * n + (1,)
-    key = (n, _pack_blocks(_canonical_blocks(rows, n)))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    # contract toward the densest corner: edge at a maximum-degree vertex
-    u = max(range(n), key=lambda v: rows[v].bit_count())
-    nbrs = vertices_of(rows[u])
-    v = max(nbrs, key=lambda w: rows[w].bit_count())
-    deleted = list(rows)
-    deleted[u] &= ~(1 << v)
-    deleted[v] &= ~(1 << u)
-    merged = list(rows)
-    merged[u] = (rows[u] | rows[v]) & ~(1 << u) & ~(1 << v)
-    for w in vertices_of(merged[u]):
-        merged[w] |= 1 << u
-    keep = ((1 << n) - 1) & ~(1 << v)
-    for w in range(n):
-        merged[w] &= keep
-    contracted, m = _induced_rows(merged, keep)
-    result = _poly_sub(_poly(deleted, n, memo), _poly(contracted, m, memo))
-    memo[key] = result
-    return result
+def _accumulate(table: dict, labels: tuple[int, ...], keep: list[int], w: list[int]) -> None:
+    # project onto the surviving frontier and relabel by first appearance
+    seen: dict[int, int] = {}
+    key = tuple(seen.setdefault(labels[j], len(seen)) for j in keep)
+    acc = table.get(key)
+    if acc is None:
+        table[key] = list(w)
+    else:
+        for k, c in enumerate(w):
+            acc[k] += c
 
 
 def evaluate_polynomial(coeffs: Sequence[int], q: int) -> int:

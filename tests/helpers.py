@@ -97,6 +97,19 @@ def interpolate_int_polynomial(values: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def poly_product(factors: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Monomial coefficients of a product of polynomials, by schoolbook
+    multiplication."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return tuple(out)
+
+
 def brute_compatible_partitions(n: int, q: int, d_sets: list[int]) -> int:
     """Enumerate all q^n color assignments and keep those with every vertex
     inside its color's container."""

@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -156,6 +158,30 @@ def test_verify_csv_format(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("graph6,n,d,q,target,holds")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--q", "3", "--format", "csv"],
+        ["count", "--q", "3", "--format", "text"],
+        ["verify", "--q", "3", "--format", "csv"],
+    ],
+)
+def test_out_file_is_closed_and_complete(tmp_path, capsys, argv):
+    path = write_g6(tmp_path, "g.g6", list(regular_family(6, 3)) + [complete(3)])
+    flag = "--graph" if argv[0] == "count" else "--graphs"
+    code, expected = run(capsys, argv + [flag, path])
+    assert code == EXIT_OK and expected
+    out_path = tmp_path / "report.out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code = main(argv + [flag, path, "--out", str(out_path)])
+        gc.collect()
+    assert code == EXIT_OK
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert out_path.read_bytes().decode() == expected
+    assert capsys.readouterr().out == ""
 
 
 def test_count_reads_stdin(capsys, monkeypatch):

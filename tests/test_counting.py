@@ -8,6 +8,7 @@ from chromacount import (
     complete_bipartite,
     complete_target,
     count_colorings,
+    count_colorings_kdd,
     count_homomorphisms,
     count_independent_sets,
     cycle,
@@ -20,6 +21,7 @@ from chromacount import (
     independence_number,
     looped_vertex,
     maximum_independent_set,
+    relabel,
 )
 from chromacount.graphs import Graph
 
@@ -29,6 +31,9 @@ from helpers import (
     brute_count_homomorphisms,
     brute_count_independent_sets,
     interpolate_int_polynomial,
+    petersen,
+    poly_product,
+    regular_family,
     small_corpus,
 )
 
@@ -88,6 +93,65 @@ def test_chromatic_polynomial_shape_invariants():
 def test_chromatic_polynomial_cap():
     with pytest.raises(CapExceededError):
         chromatic_polynomial(Graph(15, (0,) * 15))
+
+
+def test_chromatic_polynomial_petersen_published():
+    # t(t-1)(t-2)(t^7 - 12t^6 + 67t^5 - 230t^4 + 529t^3 - 814t^2 + 775t - 352)
+    expected = poly_product([(0, 1), (-1, 1), (-2, 1), (-352, 775, -814, 529, -230, 67, -12, 1)])
+    coeffs = chromatic_polynomial(petersen())
+    assert coeffs == expected
+    assert evaluate_polynomial(coeffs, 3) == 120
+
+
+def test_chromatic_polynomial_complete_is_falling_factorial():
+    for k in range(1, 9):
+        assert chromatic_polynomial(complete(k)) == poly_product([(-j, 1) for j in range(k)])
+
+
+def test_chromatic_polynomial_multiplies_over_components():
+    k33 = chromatic_polynomial(complete_bipartite(3, 3))
+    assert chromatic_polynomial(disjoint_copies(complete_bipartite(3, 3), 2)) == poly_product([k33, k33])
+
+
+def test_chromatic_polynomial_edgeless_at_cap():
+    assert chromatic_polynomial(Graph(14, (0,) * 14)) == (0,) * 14 + (1,)
+
+
+def test_chromatic_polynomial_k77_matches_closed_form():
+    coeffs = chromatic_polynomial(complete_bipartite(7, 7))
+    for q in (2, 3, 4):
+        assert evaluate_polynomial(coeffs, q) == count_colorings_kdd(7, q)
+
+
+def test_chromatic_polynomial_matches_backtracking_on_cubic_families():
+    for n in (10, 12):
+        for g in regular_family(n, 3):
+            coeffs = chromatic_polynomial(g)
+            for q in (3, 4):
+                assert evaluate_polynomial(coeffs, q) == count_colorings(g, q, "backtrack")
+
+
+def test_chromatic_polynomial_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs_with_perm(draw):
+        n = draw(st.integers(1, 8))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        return from_edges(n, edges), draw(st.permutations(range(n)))
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(graphs_with_perm())
+    def check(case):
+        g, perm = case
+        coeffs = chromatic_polynomial(g)
+        for q in range(6):
+            assert evaluate_polynomial(coeffs, q) == count_colorings(g, q, "backtrack")
+        assert chromatic_polynomial(relabel(g, perm)) == coeffs
+
+    check()
 
 
 def test_hom_generalizes_colorings_and_independent_sets():
