@@ -20,11 +20,12 @@ from fractions import Fraction
 from . import counting
 from .certificates import build_certificate, explicit_weak_bound, phi, verify_certificate
 from .counting import independence_number, maximum_independent_set
-from .errors import CapExceededError, Graph6ParseError, InvalidParameterError, UnsupportedSizeError
+from .errors import CapExceededError, Graph6ParseError, InvalidParameterError, NotRegularError, UnsupportedSizeError
 from .graphs import (
     DEFAULT_ENUM_CAP,
     ENUM_CAP_ENV,
     Graph,
+    TargetGraph,
     classify,
     enumerate_regular,
     mask_of,
@@ -77,10 +78,23 @@ def _read_graphs(path: str) -> list[Graph]:
     return [parse_graph6(line) for line in _read_graph_lines(path)]
 
 
-def _load_target(path: str):
+def _load_target(path: str) -> TargetGraph:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return target_from_edges(data["k"], [tuple(e) for e in data["edges"]])
+    try:
+        return target_from_edges(data["k"], [tuple(e) for e in data["edges"]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidParameterError(f'hom target {path} is not {{"k": K, "edges": [[u, v], ...]}}: {exc}') from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _write(text: str, out: str | None) -> None:
@@ -101,11 +115,7 @@ def _emit(records: list[dict], out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_count(args) -> int:
-    try:
-        graphs = _read_graphs(args.graph)
-    except Graph6ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    graphs = _read_graphs(args.graph)
     records = []
     mismatch = False
     for g in graphs:
@@ -117,20 +127,16 @@ def cmd_count(args) -> int:
             "q": args.q,
             "method": args.method,
         }
-        try:
-            if args.method == "both":
-                back = counting.count_colorings(g, args.q, "backtrack")
-                poly = counting.count_colorings(g, args.q, "polynomial")
-                rec["value"] = str(back)
-                rec["polynomial_value"] = str(poly)
-                rec["cross_check"] = "ok" if back == poly else "mismatch"
-                if back != poly:
-                    mismatch = True
-            else:
-                rec["value"] = str(counting.count_colorings(g, args.q, args.method))
-        except CapExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CAP
+        if args.method == "both":
+            back = counting.count_colorings(g, args.q, "backtrack")
+            poly = counting.count_colorings(g, args.q, "polynomial")
+            rec["value"] = str(back)
+            rec["polynomial_value"] = str(poly)
+            rec["cross_check"] = "ok" if back == poly else "mismatch"
+            if back != poly:
+                mismatch = True
+        else:
+            rec["value"] = str(counting.count_colorings(g, args.q, args.method))
         records.append(rec)
     if args.format == "json":
         _emit(records, args.out)
@@ -176,34 +182,29 @@ def _verdict_record(v: Verdict, n: int, d: int, q: int | None) -> dict:
 
 
 def _verify_one(task) -> dict:
-    line, q, target, h_data = task
+    line, q, target, h = task
     g = parse_graph6(line)
-    cls = classify(g)
-    if cls.degree is None or cls.degree < 2:
+    try:
+        if target == "colorings":
+            v = conjecture_verdict(g, q)
+        elif target == "indsets":
+            v = alon_kahn_verdict(g)
+        else:
+            v = hom_conjecture_verdict(g, h)
+    except NotRegularError:
         return {"type": "skipped", "graph6": line, "n": g.n, "reason": "not regular with d >= 2"}
-    if target == "colorings":
-        v = conjecture_verdict(g, q)
-    elif target == "indsets":
-        v = alon_kahn_verdict(g)
-    else:
-        h = target_from_edges(h_data["k"], [tuple(e) for e in h_data["edges"]])
-        v = hom_conjecture_verdict(g, h)
-    return _verdict_record(v, g.n, cls.degree, q if target == "colorings" else None)
+    # the verdict has checked that g is regular, so vertex 0 has degree d
+    return _verdict_record(v, g.n, g.degree(0), q if target == "colorings" else None)
 
 
 def cmd_verify(args) -> int:
-    try:
-        lines = _read_graph_lines(args.graphs)
-        for line in lines:
-            parse_graph6(line)
-    except Graph6ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    lines = _read_graph_lines(args.graphs)
+    for line in lines:
+        parse_graph6(line)
     target = args.target
-    h_data = None
+    h = None
     if target.startswith("hom:"):
-        with open(target[4:], "r", encoding="utf-8") as fh:
-            h_data = json.load(fh)
+        h = _load_target(target[4:])
         target = "hom"
     elif target not in ("colorings", "indsets"):
         print(f"error: unknown target {target!r}", file=sys.stderr)
@@ -212,7 +213,7 @@ def cmd_verify(args) -> int:
         print("error: --q is required for --target colorings", file=sys.stderr)
         return EXIT_USAGE
 
-    tasks = [(line, args.q, target, h_data) for line in lines]
+    tasks = [(line, args.q, target, h) for line in lines]
     if args.jobs > 1 and len(tasks) > 1:
         with multiprocessing.Pool(args.jobs) as pool:
             results = pool.map(_verify_one, tasks)
@@ -253,11 +254,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_certificate(args) -> int:
-    try:
-        graphs = _read_graphs(args.graph)
-    except Graph6ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    graphs = _read_graphs(args.graph)
     if len(graphs) != 1:
         print("error: --graph must supply exactly one graph", file=sys.stderr)
         return EXIT_USAGE
@@ -279,11 +276,7 @@ def cmd_certificate(args) -> int:
             return EXIT_USAGE
         indset = mask_of(verts)
     p = phi(cls.degree, args.q)
-    try:
-        cert = build_certificate(g, indset, p)
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cert = build_certificate(g, indset, p)
     report = verify_certificate(g, cert)
     rec = {
         "type": "certificate",
@@ -309,28 +302,13 @@ def cmd_certificate(args) -> int:
 
 def cmd_scan(args) -> int:
     if args.source == "gen":
-        try:
-            family = list(enumerate_regular(args.n, args.d))
-        except CapExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CAP
-        except InvalidParameterError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        family = list(enumerate_regular(args.n, args.d))
     else:
         if not args.graphs:
             print("error: --source file requires --graphs", file=sys.stderr)
             return EXIT_USAGE
-        try:
-            family = _read_graphs(args.graphs)
-        except Graph6ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        result = constrained_scan(family, args.q, args.eps)
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        family = _read_graphs(args.graphs)
+    result = constrained_scan(family, args.q, args.eps)
     records = [
         {"type": "scan-row", "graph6": r.graph6, "n": result.n, "d": result.d, "q": args.q, "alpha": r.alpha, "value": str(r.count)}
         for r in result.rows
@@ -372,17 +350,13 @@ def _log2(x) -> float | None:
 
 
 def cmd_bounds(args) -> int:
-    try:
-        ref = reference_bound(args.n, args.d, args.q)
-        weak = explicit_weak_bound(args.n, args.d, args.q) if args.q >= 3 else None
-        weak_eps = (
-            explicit_weak_bound(args.n, args.d, args.q, args.eps)
-            if (weak is not None and args.eps is not None)
-            else None
-        )
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    ref = reference_bound(args.n, args.d, args.q)
+    weak = explicit_weak_bound(args.n, args.d, args.q) if args.q >= 3 else None
+    weak_eps = (
+        explicit_weak_bound(args.n, args.d, args.q, args.eps)
+        if (weak is not None and args.eps is not None)
+        else None
+    )
     head = {
         "type": "bounds",
         "n": args.n,
@@ -400,12 +374,7 @@ def cmd_bounds(args) -> int:
     records = [head]
     violation = False
     if args.graphs:
-        try:
-            graphs = _read_graphs(args.graphs)
-        except Graph6ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        for g in graphs:
+        for g in _read_graphs(args.graphs):
             cls = classify(g)
             row = {"type": "bounds-row", "graph6": write_graph6(g), "n": g.n, "d": cls.degree, "q": args.q}
             if cls.degree != args.d or g.n != args.n:
@@ -451,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", required=True, help="graph6 file, or - for stdin")
     p.add_argument("--q", type=int)
     p.add_argument("--target", default="colorings", help="colorings | indsets | hom:H-file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
@@ -497,7 +466,16 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvalidParameterError, UnsupportedSizeError, FileNotFoundError) as exc:
+    # bad arguments and malformed input: graph6, JSON of a hom target or of a
+    # records store, bytes that do not decode
+    except (
+        InvalidParameterError,
+        Graph6ParseError,
+        UnsupportedSizeError,
+        FileNotFoundError,
+        json.JSONDecodeError,
+        UnicodeDecodeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as exc:

@@ -2,10 +2,13 @@
 homomorphisms and independent sets, plus the independence number and the
 deterministic greedy maximal matching.
 
-Colorings are counted by backtracking, or read off the chromatic polynomial,
-which one frontier pass over the vertices computes (a dynamic program over
-colour-class partitions of the frontier).  The two share only the vertex
-order, so `count --method both` compares independent algorithms.
+Colorings are counted by one frontier pass over the vertices (the default),
+or by backtracking, the independent oracle.  The frontier pass is a dynamic
+program over colour-class partitions of the frontier with integer weights,
+run at one q.  The chromatic polynomial is the same pass at one large q,
+whose value holds every coefficient as a base-q digit.  The frontier pass
+and backtracking share only the vertex order, so `count --method both`
+compares independent algorithms.
 
 All counts are exact Python integers; nothing here rounds.
 """
@@ -17,6 +20,11 @@ from .errors import CapExceededError, InvalidParameterError
 from .graphs import Graph, TargetGraph
 
 DEFAULT_POLY_CAP = 14
+# Live states allowed in one step of the frontier pass.  A step holds two
+# tables; over-cap inputs (random cubic graphs, n = 40 at q = 4 and n = 60 at
+# q = 5, Python 3.11) peaked at 300-460 MB of RSS when CapExceededError was
+# raised.
+DEFAULT_STATE_CAP = 1_000_000
 
 
 def _bfs_order(g: Graph) -> list[int]:
@@ -41,13 +49,15 @@ def _bfs_order(g: Graph) -> list[int]:
     return order
 
 
-def count_colorings(g: Graph, q: int, method: str = "backtrack") -> int:
+def count_colorings(g: Graph, q: int, method: str = "frontier") -> int:
     """Number of functions V -> {1..q} with adjacent vertices mapped to
-    different values.  `method` selects the backtracking counter (one leaf
-    per coloring) or the frontier-pass chromatic polynomial evaluated at q;
-    both are exact and must agree."""
+    different values.  `method` selects the frontier pass, the backtracking
+    counter (one leaf per coloring) or the chromatic polynomial evaluated at
+    q (capped at n <= DEFAULT_POLY_CAP); all are exact and must agree."""
     if q < 0:
         raise InvalidParameterError("q must be non-negative")
+    if method == "frontier":
+        return _count_frontier(g, q)
     if method == "backtrack":
         return _count_backtrack(g, q)
     if method == "polynomial":
@@ -85,22 +95,22 @@ def _count_backtrack(g: Graph, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Chromatic polynomial by a frontier pass
+# The frontier pass
 # ---------------------------------------------------------------------------
 
-def chromatic_polynomial(g: Graph, cap: int = DEFAULT_POLY_CAP) -> tuple[int, ...]:
-    """Coefficients of the chromatic polynomial in the monomial basis:
-    coeffs[k] is the coefficient of q**k.
+def _count_frontier(g: Graph, q: int) -> int:
+    """Proper q-colorings by one frontier pass (Sekine-Imai-Tani) over the
+    vertices in BFS order.
 
-    One frontier pass (Sekine-Imai-Tani) over the vertices in BFS order.  The
-    frontier is the placed vertices that still have an unplaced neighbour; a
-    state is the partition of the frontier into colour classes, labelled by
-    first appearance, and carries the polynomial counting the colourings of
-    the placed vertices that induce it.  A new vertex joins a frontier class
-    holding none of its neighbours, or opens a new class: (q - b) colours for
-    b frontier classes."""
-    if g.n > cap:
-        raise CapExceededError(f"n={g.n} exceeds polynomial cap {cap}")
+    The frontier is the placed vertices that still have an unplaced
+    neighbour.  A state is the partition of the frontier into colour classes,
+    labelled by first appearance, and carries the number of colourings of the
+    placed vertices that induce it.  A new vertex joins a frontier class
+    holding none of its neighbours, or opens a new class in one of the q - b
+    colours that the b frontier classes leave free; with b = q there is none,
+    so no state has more than q classes.  More than DEFAULT_STATE_CAP live
+    states raise CapExceededError."""
+    cap = DEFAULT_STATE_CAP
     n = g.n
     order = _bfs_order(g)
     pos = [0] * n
@@ -109,36 +119,55 @@ def chromatic_polynomial(g: Graph, cap: int = DEFAULT_POLY_CAP) -> tuple[int, ..
     # a vertex stays on the frontier until its last neighbour is placed
     leaves = [max((pos[w] for w in g.neighbors(v)), default=-1) for v in range(n)]
     frontier: list[int] = []
-    table: dict[tuple[int, ...], list[int]] = {(): [1] + [0] * n}
+    table: dict[tuple[int, ...], int] = {(): 1}
     for i, v in enumerate(order):
         adj = [j for j, u in enumerate(frontier) if (g.rows[v] >> u) & 1]
-        frontier.append(v)
-        keep = [j for j, u in enumerate(frontier) if leaves[u] > i]
-        frontier = [frontier[j] for j in keep]
-        nxt: dict[tuple[int, ...], list[int]] = {}
+        stay = [j for j, u in enumerate(frontier) if leaves[u] > i]
+        joins = leaves[v] > i
+        frontier = [frontier[j] for j in stay] + [v] * joins
+        nxt: dict[tuple[int, ...], int] = {}
         for state, w in table.items():
             b = max(state) + 1 if state else 0
             banned = {state[j] for j in adj}
-            for c in range(b):
+            # project onto the frontier vertices that stay, relabelled by
+            # first appearance; the new vertex, if it stays, comes last
+            seen: dict[int, int] = {}
+            base = tuple(seen.setdefault(state[j], len(seen)) for j in stay)
+            labels = [seen.get(c, len(seen)) for c in range(b + 1)]
+            # colour c < b joins class c; c = b opens a class in q - b ways
+            for c in range(b + 1 if b < q else b):
                 if c not in banned:
-                    _accumulate(nxt, state + (c,), keep, w)
-            # w * (q - b), shifted within the fixed length n + 1
-            _accumulate(nxt, state + (b,), keep, [-b * w[0]] + [w[k - 1] - b * w[k] for k in range(1, n + 1)])
+                    key = base + (labels[c],) if joins else base
+                    nxt[key] = nxt.get(key, 0) + (w if c < b else w * (q - b))
+            if len(nxt) > cap:
+                raise CapExceededError(f"frontier pass exceeds state cap {cap} at vertex {i + 1} of {n}")
         table = nxt
-    (coeffs,) = table.values()
+    return sum(table.values())
+
+
+def chromatic_polynomial(g: Graph, cap: int = DEFAULT_POLY_CAP) -> tuple[int, ...]:
+    """Coefficients of the chromatic polynomial in the monomial basis:
+    coeffs[k] is the coefficient of q**k.
+
+    One frontier pass at q = B = 2**(m + 2) for m edges, read off as balanced
+    base-B digits (Kronecker substitution).  By Whitney's broken-circuit
+    theorem the coefficient of q**(n - i) is at most C(m, i) < B/2 in
+    absolute value, so each digit is one coefficient."""
+    if g.n > cap:
+        raise CapExceededError(f"n={g.n} exceeds polynomial cap {cap}")
+    shift = g.edge_count() + 2
+    base = 1 << shift
+    value = _count_frontier(g, base)
+    coeffs = []
+    for _ in range(g.n + 1):
+        digit = value & (base - 1)
+        if digit >= base >> 1:
+            digit -= base
+        coeffs.append(digit)
+        value = (value - digit) >> shift
+    if value:
+        raise ArithmeticError(f"chromatic polynomial has a digit beyond degree {g.n}")
     return tuple(coeffs)
-
-
-def _accumulate(table: dict, labels: tuple[int, ...], keep: list[int], w: list[int]) -> None:
-    # project onto the surviving frontier and relabel by first appearance
-    seen: dict[int, int] = {}
-    key = tuple(seen.setdefault(labels[j], len(seen)) for j in keep)
-    acc = table.get(key)
-    if acc is None:
-        table[key] = list(w)
-    else:
-        for k, c in enumerate(w):
-            acc[k] += c
 
 
 def evaluate_polynomial(coeffs: Sequence[int], q: int) -> int:

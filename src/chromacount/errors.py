@@ -5,6 +5,10 @@ class InvalidParameterError(ValueError):
     """Argument outside an operation's documented domain."""
 
 
+class NotRegularError(InvalidParameterError):
+    """Graph not regular, or regular of too small a degree."""
+
+
 class Graph6ParseError(ValueError):
     """Malformed graph6 input; ``offset`` is the first offending byte."""
 

@@ -12,6 +12,8 @@ import os
 import tempfile
 from datetime import datetime, timezone
 
+from .errors import InvalidParameterError
+
 
 class RecordStore:
     def __init__(self, path: str, version: str):
@@ -21,6 +23,8 @@ class RecordStore:
         if os.path.exists(path):
             with open(path, "r", encoding="utf-8") as fh:
                 self.records = json.load(fh)
+            if not isinstance(self.records, dict):
+                raise InvalidParameterError(f"records store {path} is not a JSON object")
 
     @staticmethod
     def key(n: int, d: int, q: int, eps_key: str) -> str:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .counting import count_colorings, count_homomorphisms, count_independent_sets, independence_number
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NotRegularError
 from .graphs import Graph, TargetGraph, classify, complete, complete_bipartite, complete_target, write_graph6
 from .kdd import count_colorings_kdd, eta, m_count
 
@@ -57,9 +57,9 @@ class Verdict:
 def _regular_degree(g: Graph, min_d: int = 2) -> int:
     cls = classify(g)
     if cls.degree is None:
-        raise InvalidParameterError("graph is not regular")
+        raise NotRegularError("graph is not regular")
     if cls.degree < min_d:
-        raise InvalidParameterError(f"degree must be at least {min_d}")
+        raise NotRegularError(f"degree must be at least {min_d}")
     return cls.degree
 
 

@@ -340,3 +340,90 @@ def test_reports_byte_deterministic(tmp_path, capsys):
     _, out1 = run(capsys, ["verify", "--graphs", path, "--q", "4"])
     _, out2 = run(capsys, ["verify", "--graphs", path, "--q", "4"])
     assert out1 == out2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
+    import chromacount.cli as cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", no_pool)
+    path = write_g6(tmp_path, "g.g6", [complete(4), cycle(5)])
+    code = main(["verify", "--graphs", path, "--q", "3", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "--jobs" in captured.err
+
+
+def _graph6_argv(bad, g6):
+    return ["verify", "--graphs", bad, "--q", "3"]
+
+
+def _hom_argv(bad, g6):
+    return ["verify", "--graphs", g6, "--target", f"hom:{bad}"]
+
+
+def _records_argv(bad, g6):
+    return ["scan", "--n", "6", "--d", "3", "--q", "3", "--records", bad]
+
+
+MALFORMED_INPUTS = {
+    "graph6-non-ascii": ("bad.g6", b"C~\nC\xe9~\n", _graph6_argv),
+    "hom-json-syntax": ("h.json", b'{"k": 2, "edges": [[0, 1]', _hom_argv),
+    "hom-without-edges": ("h.json", b'{"k": 2}', _hom_argv),
+    "hom-without-k": ("h.json", b'{"edges": [[0, 1]]}', _hom_argv),
+    "hom-edge-not-a-pair": ("h.json", b'{"k": 2, "edges": [[0]]}', _hom_argv),
+    "hom-not-an-object": ("h.json", b"[2, [[0, 1]]]", _hom_argv),
+    "records-json-syntax": ("records.json", b'{"6:3:3:0": ', _records_argv),
+    "records-not-an-object": ("records.json", b"[]", _records_argv),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_usage(tmp_path, capsys, case):
+    name, data, argv = MALFORMED_INPUTS[case]
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    g6 = write_g6(tmp_path, "g.g6", [complete(4)])
+    code = main(argv(str(bad), g6))
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert bad.read_bytes() == data
+
+
+def test_verify_over_state_cap_exits_cap(tmp_path, capsys, monkeypatch):
+    import chromacount.counting as counting
+
+    monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", 3)
+    path = write_g6(tmp_path, "k33.g6", [complete_bipartite(3, 3)])
+    code = main(["verify", "--graphs", path, "--q", "4"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CAP and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "state cap" in captured.err
+
+
+def test_verify_classifies_each_graph_once(tmp_path, capsys, monkeypatch):
+    import chromacount.cli as cli
+    import chromacount.verdicts as verdicts
+
+    calls = []
+    for module in (cli, verdicts):
+        monkeypatch.setattr(module, "classify", lambda g, real=module.classify: calls.append(g) or real(g))
+    graphs = list(regular_family(6, 3)) + [k4_minus_edge(), complete(2), cycle(5)]
+    path = write_g6(tmp_path, "g.g6", graphs)
+    skipped = [
+        {"type": "skipped", "graph6": write_graph6(g), "n": g.n, "reason": "not regular with d >= 2"}
+        for g in (complete(2), k4_minus_edge())
+    ]
+    skipped.sort(key=lambda r: r["graph6"])  # the report's order
+    for target in (["--q", "3"], ["--target", "indsets"]):
+        calls.clear()
+        code, out = run(capsys, ["verify", "--graphs", path] + target)
+        assert code == EXIT_OK
+        assert len(calls) == len(graphs)
+        assert [r for r in json_lines(out) if r["type"] == "skipped"] == skipped
+    code, _ = run(capsys, ["verify", "--graphs", path, "--q", "-1"])
+    assert code == EXIT_USAGE

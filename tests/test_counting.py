@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from chromacount import (
@@ -57,8 +59,73 @@ def test_count_colorings_edge_cases():
 
 def test_methods_agree_on_small_corpus():
     for g in small_corpus(max_n=7):
-        for q in range(5):
-            assert count_colorings(g, q, "backtrack") == count_colorings(g, q, "polynomial")
+        for q in range(6):
+            back = count_colorings(g, q, "backtrack")
+            assert count_colorings(g, q) == back == count_colorings(g, q, "polynomial")
+
+
+def test_default_count_matches_kdd_closed_form():
+    for d in range(1, 8):
+        for q in range(7):
+            assert count_colorings(complete_bipartite(d, d), q) == count_colorings_kdd(d, q)
+
+
+def test_default_count_matches_cycle_closed_form():
+    for n in range(3, 21):
+        for q in range(7):
+            assert count_colorings(cycle(n), q) == (q - 1) ** n + (-1) ** n * (q - 1)
+
+
+def test_default_count_multiplies_over_large_unions():
+    # n >= 30, out of reach of backtracking: the factors are counted by it
+    cases = [
+        ([petersen()] * 3, (3, 4, 5)),
+        ([complete_bipartite(3, 3)] * 5, (3, 4, 5)),
+        ([petersen(), cycle(7), complete(4), complete_bipartite(4, 4), cycle(6)], (4, 5)),
+    ]
+    for factors, qs in cases:
+        g = factors[0]
+        for f in factors[1:]:
+            g = disjoint_union(g, f)
+        assert g.n >= 30
+        for q in qs:
+            expected = 1
+            for f in factors:
+                expected *= count_colorings(f, q, "backtrack")
+            assert count_colorings(g, q) == expected
+
+
+def test_state_cap(monkeypatch):
+    import chromacount.counting as counting
+
+    monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", 3)
+    assert count_colorings(cycle(5), 3) == 30  # fits under the cap
+    with pytest.raises(CapExceededError):
+        count_colorings(complete_bipartite(3, 3), 4)
+    with pytest.raises(CapExceededError):
+        chromatic_polynomial(complete_bipartite(3, 3))
+    # the oracle does not use the frontier pass
+    assert count_colorings(complete_bipartite(3, 3), 4, "backtrack") == count_colorings_kdd(3, 4)
+
+
+def test_default_count_relabel_invariant():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 14))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)) if pairs else []
+        return from_edges(n, edges), draw(st.permutations(range(n))), draw(st.integers(0, 5))
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        g, perm, q = case
+        assert count_colorings(relabel(g, perm), q) == count_colorings(g, q)
+
+    check()
 
 
 def test_chromatic_polynomial_k3():
@@ -113,6 +180,17 @@ def test_chromatic_polynomial_multiplies_over_components():
     assert chromatic_polynomial(disjoint_copies(complete_bipartite(3, 3), 2)) == poly_product([k33, k33])
 
 
+def test_chromatic_polynomial_trees_at_whitney_bound():
+    # every tree on 14 vertices has q(q-1)^13, whose coefficients +-C(13, k)
+    # meet the broken-circuit bound C(m, k) with m = 13
+    path = from_edges(14, [(i, i + 1) for i in range(13)])
+    star = from_edges(14, [(0, i) for i in range(1, 14)])
+    expected = tuple([0] + [(-1) ** (13 - k) * comb(13, k) for k in range(14)])
+    assert expected == poly_product([(0, 1)] + [(-1, 1)] * 13)
+    assert chromatic_polynomial(path) == expected
+    assert chromatic_polynomial(star) == expected
+
+
 def test_chromatic_polynomial_edgeless_at_cap():
     assert chromatic_polynomial(Graph(14, (0,) * 14)) == (0,) * 14 + (1,)
 
@@ -124,11 +202,12 @@ def test_chromatic_polynomial_k77_matches_closed_form():
 
 
 def test_chromatic_polynomial_matches_backtracking_on_cubic_families():
-    for n in (10, 12):
+    for n, qs in ((10, range(6)), (12, (3, 4))):
         for g in regular_family(n, 3):
             coeffs = chromatic_polynomial(g)
-            for q in (3, 4):
-                assert evaluate_polynomial(coeffs, q) == count_colorings(g, q, "backtrack")
+            for q in qs:
+                back = count_colorings(g, q, "backtrack")
+                assert evaluate_polynomial(coeffs, q) == back == count_colorings(g, q)
 
 
 def test_chromatic_polynomial_properties():
