@@ -2,6 +2,8 @@
 regular graphs, with exact verdicts for the complete-bipartite extremal
 bounds and the explicit container-certificate machinery behind them."""
 
+__version__ = "0.1.0"
+
 from .certificates import (
     Certificate,
     CertificateReport,
@@ -75,5 +77,3 @@ from .verdicts import (
     hom_conjecture_verdict,
     reference_bound,
 )
-
-__version__ = "0.1.0"

@@ -18,7 +18,8 @@ from typing import Sequence
 
 from .counting import greedy_maximal_matching
 from .errors import InvalidParameterError
-from .graphs import Graph, classify, induced_subgraph, vertices_of
+from .graphs import Graph, induced_subgraph, vertices_of
+from .verdicts import _eps_fraction, _regular_degree
 
 # comparison margin for integer-vs-real threshold tests; cardinalities are
 # integers and phi is irrational except at rare powers of two, so this only
@@ -49,17 +50,10 @@ class Certificate:
     trace: tuple[tuple[int, int], ...]
 
 
-def _require_regular(g: Graph) -> int:
-    cls = classify(g)
-    if cls.degree is None or cls.degree < 1:
-        raise InvalidParameterError("certificates are defined for regular graphs with d >= 1")
-    return cls.degree
-
-
 def build_certificate(g: Graph, indset: int, phi_value: float) -> Certificate:
     """Run the greedy construction for the independent set `indset` (a bit
     mask).  Deterministic: ties break toward the least vertex index."""
-    _require_regular(g)
+    _regular_degree(g, 1)
     full = (1 << g.n) - 1
     if indset == 0:
         raise InvalidParameterError("independent set must be nonempty")
@@ -118,7 +112,7 @@ class CertificateReport:
 def verify_certificate(g: Graph, cert: Certificate) -> CertificateReport:
     """Re-derive every certificate invariant with numeric slacks, plus the
     edge-counting sandwich (d - phi)|D| <= e(D, N(T)) <= d(n - |D|)."""
-    d = _require_regular(g)
+    d = _regular_degree(g, 1)
     n = g.n
     p = cert.phi
     nt = 0
@@ -221,7 +215,7 @@ def d_profile(g: Graph, coloring: Sequence[int], q: int, phi_value: float) -> DP
     for u, v in g.edges():
         if coloring[u] == coloring[v]:
             raise InvalidParameterError(f"coloring is not proper at edge ({u},{v})")
-    d = _require_regular(g)
+    d = _regular_degree(g, 1)
     completion = (1 << container_size_cap(n, d, phi_value)) - 1
     d_sets = []
     for k in range(1, q + 1):
@@ -354,11 +348,7 @@ def explicit_weak_bound(n: int, d: int, q: int, eps=None) -> Fraction:
         raise InvalidParameterError("n must be at least d+1")
     if q < 3:
         raise InvalidParameterError("q must be at least 3")
-    eps_frac = None
-    if eps is not None:
-        eps_frac = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
-        if not 0 <= eps_frac <= 1:
-            raise InvalidParameterError("eps must lie in [0, 1]")
+    eps_frac = None if eps is None else _eps_fraction(eps)
 
     p = phi(d, q)
     i_cap = min(n, math.floor(n / p + COMPARE_EPS))

@@ -13,17 +13,14 @@ import io
 import json
 import math
 import multiprocessing
-import os
 import sys
 from fractions import Fraction
 
-from . import counting
+from . import __version__, counting
 from .certificates import build_certificate, explicit_weak_bound, phi, verify_certificate
 from .counting import independence_number, maximum_independent_set
 from .errors import CapExceededError, Graph6ParseError, InvalidParameterError, NotRegularError, UnsupportedSizeError
 from .graphs import (
-    DEFAULT_ENUM_CAP,
-    ENUM_CAP_ENV,
     Graph,
     TargetGraph,
     classify,
@@ -36,15 +33,13 @@ from .graphs import (
 )
 from .kdd import eta, m_count
 from .records import RecordStore
-from .verdicts import Verdict, alon_kahn_verdict, conjecture_verdict, constrained_scan, hom_conjecture_verdict, reference_bound
+from .verdicts import Verdict, _eps_fraction, alon_kahn_verdict, conjecture_verdict, constrained_scan, hom_conjecture_verdict, reference_bound
 
 EXIT_OK = 0
 EXIT_CROSSCHECK = 2
 EXIT_VIOLATION = 3
 EXIT_USAGE = 64
 EXIT_CAP = 65
-
-__version__ = "0.1.0"
 
 
 class UsageError(Exception):
@@ -199,8 +194,6 @@ def _verify_one(task) -> dict:
 
 def cmd_verify(args) -> int:
     lines = _read_graph_lines(args.graphs)
-    for line in lines:
-        parse_graph6(line)
     target = args.target
     h = None
     if target.startswith("hom:"):
@@ -215,6 +208,11 @@ def cmd_verify(args) -> int:
 
     tasks = [(line, args.q, target, h) for line in lines]
     if args.jobs > 1 and len(tasks) > 1:
+        # a Graph6ParseError raised in a worker does not survive pickling, and
+        # pool.map reports whichever failure arrives first: parse every line
+        # here, in input order, before any worker starts
+        for line in lines:
+            parse_graph6(line)
         with multiprocessing.Pool(args.jobs) as pool:
             results = pool.map(_verify_one, tasks)
     else:
@@ -309,6 +307,8 @@ def cmd_scan(args) -> int:
             return EXIT_USAGE
         family = _read_graphs(args.graphs)
     result = constrained_scan(family, args.q, args.eps)
+    n_val = result.n if family else args.n
+    d_val = result.d if family else args.d
     records = [
         {"type": "scan-row", "graph6": r.graph6, "n": result.n, "d": result.d, "q": args.q, "alpha": r.alpha, "value": str(r.count)}
         for r in result.rows
@@ -316,8 +316,8 @@ def cmd_scan(args) -> int:
     records.append(
         {
             "type": "scan-max",
-            "n": result.n if family else args.n,
-            "d": result.d if family else args.d,
+            "n": n_val,
+            "d": d_val,
             "q": args.q,
             "eps": str(result.eps),
             "family_size": len(family),
@@ -327,8 +327,6 @@ def cmd_scan(args) -> int:
         }
     )
     if args.records:
-        n_val = result.n if family else args.n
-        d_val = result.d if family else args.d
         store = RecordStore(args.records, __version__)
         improved = store.update(n_val, d_val, args.q, str(result.eps), result.max_count, result.argmax)
         store.save()
@@ -389,8 +387,7 @@ def cmd_bounds(args) -> int:
                 row["below_weak_bound"] = ok
                 violation = violation or not ok
             if weak_eps is not None:
-                eps_frac = Fraction(str(args.eps))
-                if Fraction(2 * row["alpha"]) <= Fraction(g.n) * (1 - eps_frac):
+                if Fraction(2 * row["alpha"]) <= Fraction(g.n) * (1 - _eps_fraction(args.eps)):
                     ok = Fraction(exact) <= weak_eps
                     row["below_weak_bound_eps"] = ok
                     violation = violation or not ok

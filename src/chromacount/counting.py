@@ -3,12 +3,14 @@ homomorphisms and independent sets, plus the independence number and the
 deterministic greedy maximal matching.
 
 Colorings are counted by one frontier pass over the vertices (the default),
-or by backtracking, the independent oracle.  The frontier pass is a dynamic
-program over colour-class partitions of the frontier with integer weights,
-run at one q.  The chromatic polynomial is the same pass at one large q,
-whose value holds every coefficient as a base-q digit.  The frontier pass
-and backtracking share only the vertex order, so `count --method both`
-compares independent algorithms.
+or by backtracking, the independent oracle: a proper q-coloring is a
+homomorphism into K_q, so the oracle is the homomorphism backtracker with
+K_q as target.  The frontier pass is a dynamic program over colour-class
+partitions of the frontier with integer weights, run at one q.  The
+chromatic polynomial is the same pass at one large q, whose value holds
+every coefficient as a base-q digit.  The frontier pass and backtracking
+share only the vertex order, so `count --method both` compares independent
+algorithms.
 
 All counts are exact Python integers; nothing here rounds.
 """
@@ -17,13 +19,14 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import CapExceededError, InvalidParameterError
-from .graphs import Graph, TargetGraph
+from .graphs import Graph, TargetGraph, complete_target, components
 
 DEFAULT_POLY_CAP = 14
-# Live states allowed in one step of the frontier pass.  A step holds two
-# tables; over-cap inputs (random cubic graphs, n = 40 at q = 4 and n = 60 at
-# q = 5, Python 3.11) peaked at 300-460 MB of RSS when CapExceededError was
-# raised.
+# Live states allowed in one step of the frontier pass, and entries allowed
+# in the independent-set memo.  A frontier step holds two tables; over-cap
+# inputs (random cubic graphs, n = 40 at q = 4 and n = 60 at q = 5, Python
+# 3.11) peaked at 300-460 MB of RSS when CapExceededError was raised; the
+# memo of over-cap random cubic graphs (n = 48 to 60) at 130-135 MB.
 DEFAULT_STATE_CAP = 1_000_000
 
 
@@ -51,47 +54,20 @@ def _bfs_order(g: Graph) -> list[int]:
 
 def count_colorings(g: Graph, q: int, method: str = "frontier") -> int:
     """Number of functions V -> {1..q} with adjacent vertices mapped to
-    different values.  `method` selects the frontier pass, the backtracking
-    counter (one leaf per coloring) or the chromatic polynomial evaluated at
-    q (capped at n <= DEFAULT_POLY_CAP); all are exact and must agree."""
+    different values.  `method` selects the frontier pass, homomorphism
+    backtracking into K_q (one leaf per coloring) or the chromatic polynomial
+    evaluated at q (capped at n <= DEFAULT_POLY_CAP); all are exact and must
+    agree."""
     if q < 0:
         raise InvalidParameterError("q must be non-negative")
     if method == "frontier":
         return _count_frontier(g, q)
     if method == "backtrack":
-        return _count_backtrack(g, q)
+        # K_q needs q >= 1; with no colours only the empty graph has a coloring
+        return count_homomorphisms(g, complete_target(q)) if q else int(g.n == 0)
     if method == "polynomial":
         return evaluate_polynomial(chromatic_polynomial(g), q)
     raise InvalidParameterError(f"unknown method {method!r}")
-
-
-def _count_backtrack(g: Graph, q: int) -> int:
-    if g.n == 0:
-        return 1
-    if q == 0:
-        return 0
-    order = _bfs_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    earlier: list[list[int]] = []
-    for i, v in enumerate(order):
-        earlier.append([pos[w] for w in g.neighbors(v) if pos[w] < i])
-    n = g.n
-    colors = [0] * n
-
-    def rec(i: int) -> int:
-        if i == n:
-            return 1
-        forbidden = 0
-        for p in earlier[i]:
-            forbidden |= 1 << colors[p]
-        total = 0
-        for c in range(q):
-            if not (forbidden >> c) & 1:
-                colors[i] = c
-                total += rec(i + 1)
-        return total
-
-    return rec(0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +190,9 @@ def count_homomorphisms(g: Graph, h: TargetGraph) -> int:
 
 
 def count_independent_sets(g: Graph) -> int:
-    """Number of independent sets, the empty set included."""
+    """Number of independent sets, the empty set included.  A memo of more
+    than DEFAULT_STATE_CAP vertex masks raises CapExceededError."""
+    cap = DEFAULT_STATE_CAP
     rows = g.rows
     memo: dict[int, int] = {}
 
@@ -224,6 +202,8 @@ def count_independent_sets(g: Graph) -> int:
         hit = memo.get(mask)
         if hit is not None:
             return hit
+        if len(memo) > cap:
+            raise CapExceededError(f"independent-set memo exceeds state cap {cap}")
         # branch on a maximum-degree vertex of the induced subgraph
         best_v = -1
         best_d = -1
@@ -286,23 +266,7 @@ def _alpha_mask(rows: Sequence[int], mask: int) -> int:
                 break
     if mask == 0:
         return size
-    comps = []
-    unseen = mask
-    while unseen:
-        start = unseen & -unseen
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= rows[v] & mask
-            frontier = nxt & ~seen
-            seen |= frontier
-        comps.append(seen)
-        unseen &= ~seen
+    comps = components(rows, mask)
     if len(comps) > 1:
         return size + sum(_alpha_mask(rows, c) for c in comps)
     # connected, minimum degree >= 2

@@ -267,6 +267,26 @@ def classify(g: Graph) -> Classification:
     return Classification(g.n, degree, bipartite, components)
 
 
+def components(rows: Sequence[int], mask: int) -> list[int]:
+    """Vertex masks of the connected components of the subgraph induced on
+    `mask` (adjacency rows as bit masks), ordered by least vertex."""
+    comps = []
+    unseen = mask
+    while unseen:
+        seen = frontier = unseen & -unseen
+        while frontier:
+            nxt = 0
+            while frontier:
+                v = (frontier & -frontier).bit_length() - 1
+                frontier &= frontier - 1
+                nxt |= rows[v]
+            frontier = nxt & mask & ~seen
+            seen |= frontier
+        comps.append(seen)
+        unseen &= ~seen
+    return comps
+
+
 def induced_subgraph(g: Graph, s: int) -> Graph:
     """Induced subgraph on the vertex mask s, relabeled 0..|s|-1 preserving
     order.  The empty mask yields the 0-vertex graph (internal use only)."""
@@ -478,25 +498,6 @@ def _is_canonical_prefix(rows: Sequence[int], m: int) -> bool:
 # Exhaustive enumeration of d-regular graphs up to isomorphism
 # ---------------------------------------------------------------------------
 
-def _connected_rows(rows: Sequence[int], n: int) -> bool:
-    if n <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        f = frontier
-        v = 0
-        while f:
-            if f & 1:
-                nxt |= rows[v]
-            f >>= 1
-            v += 1
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
-
-
 def enumerate_regular(
     n: int, d: int, *, connected: bool = True, cap: int | None = None
 ) -> Iterator[Graph]:
@@ -550,7 +551,7 @@ def _generate_regular(n: int, d: int, connected: bool) -> Iterator[Graph]:
 
     def rec(j: int) -> Iterator[Graph]:
         if j == n:
-            if not connected or _connected_rows(rows, n):
+            if not connected or len(components(rows, (1 << n) - 1)) == 1:
                 yield Graph(n, tuple(rows))
             return
         allowed = [i for i in range(j) if degs[i] < d]

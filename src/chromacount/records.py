@@ -25,6 +25,9 @@ class RecordStore:
                 self.records = json.load(fh)
             if not isinstance(self.records, dict):
                 raise InvalidParameterError(f"records store {path} is not a JSON object")
+            for key, rec in self.records.items():
+                if not (isinstance(rec, dict) and isinstance(rec.get("best"), str) and rec["best"].isdecimal()):
+                    raise InvalidParameterError(f'records store {path}: entry {key!r} has no decimal-string "best"')
 
     @staticmethod
     def key(n: int, d: int, q: int, eps_key: str) -> str:

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .counting import count_colorings, count_homomorphisms, count_independent_sets, independence_number
 from .errors import InvalidParameterError, NotRegularError
-from .graphs import Graph, TargetGraph, classify, complete, complete_bipartite, complete_target, write_graph6
+from .graphs import Graph, TargetGraph, classify, complete, complete_bipartite, write_graph6
 from .kdd import count_colorings_kdd, eta, m_count
 
 
@@ -128,17 +128,23 @@ class ScanResult:
     rows: tuple[ScanRow, ...]  # every family member that passed the filter
 
 
-def _as_fraction(eps) -> Fraction:
-    return Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
+def _eps_fraction(eps) -> Fraction:
+    """eps as an exact fraction in [0, 1]; a float is read by its decimal
+    repr, so 0.4 is 2/5."""
+    try:
+        eps_frac = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidParameterError(f"eps {eps!r} is not a number") from None
+    if not 0 <= eps_frac <= 1:
+        raise InvalidParameterError("eps must lie in [0, 1]")
+    return eps_frac
 
 
 def constrained_scan(family: Iterable[Graph], q: int, eps) -> ScanResult:
     """Maximum of c_q over the family members whose independence number is
     at most (n/2)(1-eps), with the full (alpha, count) table sorted by
     graph6 string.  The family must share one (n, d)."""
-    eps_frac = _as_fraction(eps)
-    if not 0 <= eps_frac <= 1:
-        raise InvalidParameterError("eps must lie in [0, 1]")
+    eps_frac = _eps_fraction(eps)
     n = d = None
     rows = []
     best: tuple[int, str] | None = None
@@ -157,6 +163,5 @@ def constrained_scan(family: Iterable[Graph], q: int, eps) -> ScanResult:
         if best is None or count > best[0] or (count == best[0] and g6 < best[1]):
             best = (count, g6)
     rows.sort(key=lambda r: r.graph6)
-    if best is None:
-        return ScanResult(n or 0, d or 0, q, eps_frac, 0, None, tuple(rows))
-    return ScanResult(n or 0, d or 0, q, eps_frac, best[0], best[1], tuple(rows))
+    max_count, argmax = best or (0, None)
+    return ScanResult(n or 0, d or 0, q, eps_frac, max_count, argmax, tuple(rows))

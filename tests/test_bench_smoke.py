@@ -11,7 +11,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["verify-colorings", "count-polynomial"])
+@pytest.mark.parametrize("workload", ["verify-colorings", "count-polynomial", "scan-quartic", "verify-indsets-bulk"])
 def test_bench_tiny_run_is_correct(workload):
     pytest.importorskip("networkx")
     argv = [sys.executable, os.path.join(ROOT, "bench", "run.py"), "--workload", workload]

@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import warnings
 
 import pytest
@@ -8,6 +9,8 @@ from chromacount import complete, complete_bipartite, cycle, write_graph6
 from chromacount.cli import EXIT_CAP, EXIT_CROSSCHECK, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 from helpers import k4_minus_edge, regular_family
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_g6(tmp_path, name, graphs):
@@ -378,6 +381,9 @@ MALFORMED_INPUTS = {
     "hom-not-an-object": ("h.json", b"[2, [[0, 1]]]", _hom_argv),
     "records-json-syntax": ("records.json", b'{"6:3:3:0": ', _records_argv),
     "records-not-an-object": ("records.json", b"[]", _records_argv),
+    "records-best-not-decimal": ("records.json", b'{"6:3:3:0": {"best": "x"}}', _records_argv),
+    "records-entry-not-an-object": ("records.json", b'{"6:3:3:0": 5}', _records_argv),
+    "records-entry-without-best": ("records.json", b'{"6:3:3:0": {}}', _records_argv),
 }
 
 
@@ -427,3 +433,80 @@ def test_verify_classifies_each_graph_once(tmp_path, capsys, monkeypatch):
         assert [r for r in json_lines(out) if r["type"] == "skipped"] == skipped
     code, _ = run(capsys, ["verify", "--graphs", path, "--q", "-1"])
     assert code == EXIT_USAGE
+
+
+def test_verify_indsets_over_memo_cap_exits_cap(tmp_path, capsys, monkeypatch):
+    import chromacount.counting as counting
+
+    monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", 3)
+    path = write_g6(tmp_path, "k33.g6", [complete_bipartite(3, 3)])
+    code = main(["verify", "--graphs", path, "--target", "indsets"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CAP and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "state cap" in captured.err
+
+
+def test_serial_verify_parses_each_line_once(tmp_path, capsys, monkeypatch):
+    import chromacount.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "parse_graph6", lambda line, real=cli.parse_graph6: calls.append(line) or real(line))
+    graphs = list(regular_family(8, 3)) + [k4_minus_edge()]
+    path = write_g6(tmp_path, "g.g6", graphs)
+    code, _ = run(capsys, ["verify", "--graphs", path, "--q", "3"])
+    assert code == EXIT_OK
+    assert sorted(calls) == sorted(write_graph6(g) for g in graphs)
+
+
+def test_parallel_verify_rejects_malformed_line_before_pool(tmp_path, capsys, monkeypatch):
+    import chromacount.cli as cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", no_pool)
+    path = tmp_path / "bad.g6"
+    path.write_text(write_graph6(complete(4)) + "\nC\n" + write_graph6(cycle(5)) + "\n")
+    code = main(["verify", "--graphs", str(path), "--q", "3", "--jobs", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("eps", [-0.1, 1.5])
+def test_eps_outside_unit_interval_rejected_alike(capsys, eps):
+    from chromacount import constrained_scan, explicit_weak_bound
+    from chromacount.errors import InvalidParameterError
+
+    with pytest.raises(InvalidParameterError, match=r"eps must lie in \[0, 1\]"):
+        constrained_scan(regular_family(6, 3), 3, eps)
+    with pytest.raises(InvalidParameterError, match=r"eps must lie in \[0, 1\]"):
+        explicit_weak_bound(10, 3, 3, eps)
+    code = main(["bounds", "--n", "10", "--d", "3", "--q", "3", "--eps", str(eps)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err == "error: eps must lie in [0, 1]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scan", "--n", "6", "--d", "3", "--q", "3", "--eps", "abc"], ["bounds", "--n", "10", "--d", "3", "--q", "3", "--eps", "nan"]],
+)
+def test_eps_not_a_number_exits_usage(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "is not a number" in captured.err
+
+
+def test_version_is_defined_once(capsys):
+    import chromacount
+
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        declared = tomllib.load(fh)["project"]["version"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"{chromacount.__version__}\n"
+    assert chromacount.__version__ == declared

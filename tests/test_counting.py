@@ -58,10 +58,11 @@ def test_count_colorings_edge_cases():
 
 
 def test_methods_agree_on_small_corpus():
-    for g in small_corpus(max_n=7):
-        for q in range(6):
-            back = count_colorings(g, q, "backtrack")
-            assert count_colorings(g, q) == back == count_colorings(g, q, "polynomial")
+    cases = [(g, q) for g in small_corpus(max_n=7) for q in range(6)]
+    cases += [(Graph(0, ()), 0), (Graph(0, ()), 1)]
+    for g, q in cases:
+        back = count_colorings(g, q, "backtrack")
+        assert count_colorings(g, q) == back == count_colorings(g, q, "polynomial")
 
 
 def test_default_count_matches_kdd_closed_form():
@@ -245,6 +246,15 @@ def test_hom_examples():
     assert count_homomorphisms(complete(2), h_ind()) == 3
     g = cycle(5)
     assert count_homomorphisms(g, h_ind()) == brute_count_homomorphisms(g, h_ind())
+
+
+def test_independent_set_memo_cap(monkeypatch):
+    import chromacount.counting as counting
+
+    monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", 3)
+    assert count_independent_sets(complete(4)) == 5  # fits under the cap
+    with pytest.raises(CapExceededError):
+        count_independent_sets(petersen())
 
 
 def test_count_independent_sets_examples():

@@ -24,6 +24,7 @@ from chromacount import (
     write_graph6,
 )
 from chromacount import count_homomorphisms
+from chromacount.graphs import components
 
 from helpers import k4_minus_edge, random_regular, regular_family
 
@@ -234,3 +235,25 @@ def test_random_regular_helper_is_regular():
     for _ in range(5):
         g = random_regular(20, 4, rng)
         assert classify(g).degree == 4
+
+
+def test_components_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    for trial in range(200):
+        n = rng.randrange(1, 16)
+        p = rng.random() * 0.4
+        g = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        # the full mask, the empty mask and a random mask
+        for mask in ((1 << n) - 1, 0, rng.getrandbits(n)):
+            ng = nx.Graph()
+            ng.add_nodes_from(v for v in range(n) if (mask >> v) & 1)
+            ng.add_edges_from((u, v) for u, v in g.edges() if (mask >> u) & 1 and (mask >> v) & 1)
+            expected = sorted(mask_of(c) for c in nx.connected_components(ng))
+            comps = components(g.rows, mask)
+            assert sorted(comps) == expected
+            # ordered by least vertex
+            assert comps == sorted(comps, key=lambda c: c & -c)
+    # isolated vertices are components of their own
+    assert components(from_edges(4, [(1, 2)]).rows, 0b1111) == [0b0001, 0b0110, 0b1000]
+    assert components(complete(3).rows, 0) == []
