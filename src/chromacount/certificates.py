@@ -173,17 +173,6 @@ class DProfile:
     def q(self) -> int:
         return len(self.d_sets)
 
-    def as_record(self) -> dict:
-        """JSON-ready form for the report stream (counts as decimal strings)."""
-        return {
-            "type": "d-profile",
-            "q": self.q,
-            "d_sets": [vertices_of(m) for m in self.d_sets],
-            "multiplicities": list(self.multiplicities),
-            "product": str(self.product),
-            "total": self.total,
-        }
-
 
 def _profile_from_sets(n: int, d_sets: Sequence[int]) -> DProfile:
     mult = []

@@ -200,11 +200,9 @@ def cmd_verify(args) -> int:
         h = _load_target(target[4:])
         target = "hom"
     elif target not in ("colorings", "indsets"):
-        print(f"error: unknown target {target!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidParameterError(f"unknown target {target!r}")
     if target == "colorings" and args.q is None:
-        print("error: --q is required for --target colorings", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidParameterError("--q is required for --target colorings")
 
     tasks = [(line, args.q, target, h) for line in lines]
     if args.jobs > 1 and len(tasks) > 1:
@@ -254,24 +252,20 @@ def cmd_verify(args) -> int:
 def cmd_certificate(args) -> int:
     graphs = _read_graphs(args.graph)
     if len(graphs) != 1:
-        print("error: --graph must supply exactly one graph", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidParameterError("--graph must supply exactly one graph")
     g = graphs[0]
     cls = classify(g)
     if cls.degree is None or cls.degree < 2:
-        print("error: certificate requires a d-regular graph with d >= 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidParameterError("certificate requires a d-regular graph with d >= 2")
     if args.indset == "auto":
         indset = mask_of(maximum_independent_set(g))
     else:
         try:
             verts = [int(tok) for tok in args.indset.split(",") if tok.strip() != ""]
         except ValueError:
-            print("error: --indset must be a comma-separated vertex list or 'auto'", file=sys.stderr)
-            return EXIT_USAGE
+            raise InvalidParameterError("--indset must be a comma-separated vertex list or 'auto'") from None
         if not verts or any(not 0 <= v < g.n for v in verts):
-            print("error: --indset vertices out of range", file=sys.stderr)
-            return EXIT_USAGE
+            raise InvalidParameterError("--indset vertices out of range")
         indset = mask_of(verts)
     p = phi(cls.degree, args.q)
     cert = build_certificate(g, indset, p)
@@ -303,8 +297,7 @@ def cmd_scan(args) -> int:
         family = list(enumerate_regular(args.n, args.d))
     else:
         if not args.graphs:
-            print("error: --source file requires --graphs", file=sys.stderr)
-            return EXIT_USAGE
+            raise InvalidParameterError("--source file requires --graphs")
         family = _read_graphs(args.graphs)
     result = constrained_scan(family, args.q, args.eps)
     n_val = result.n if family else args.n
@@ -348,13 +341,10 @@ def _log2(x) -> float | None:
 
 
 def cmd_bounds(args) -> int:
+    eps = None if args.eps is None else _eps_fraction(args.eps)
     ref = reference_bound(args.n, args.d, args.q)
     weak = explicit_weak_bound(args.n, args.d, args.q) if args.q >= 3 else None
-    weak_eps = (
-        explicit_weak_bound(args.n, args.d, args.q, args.eps)
-        if (weak is not None and args.eps is not None)
-        else None
-    )
+    weak_eps = explicit_weak_bound(args.n, args.d, args.q, eps) if (weak is not None and eps is not None) else None
     head = {
         "type": "bounds",
         "n": args.n,
@@ -387,7 +377,7 @@ def cmd_bounds(args) -> int:
                 row["below_weak_bound"] = ok
                 violation = violation or not ok
             if weak_eps is not None:
-                if Fraction(2 * row["alpha"]) <= Fraction(g.n) * (1 - _eps_fraction(args.eps)):
+                if Fraction(2 * row["alpha"]) <= Fraction(g.n) * (1 - eps):
                     ok = Fraction(exact) <= weak_eps
                     row["below_weak_bound_eps"] = ok
                     violation = violation or not ok
@@ -460,9 +450,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     # bad arguments and malformed input: graph6, JSON of a hom target or of a
     # records store, bytes that do not decode
     except (

@@ -121,7 +121,7 @@ def _count_frontier(g: Graph, q: int) -> int:
     return sum(table.values())
 
 
-def chromatic_polynomial(g: Graph, cap: int = DEFAULT_POLY_CAP) -> tuple[int, ...]:
+def chromatic_polynomial(g: Graph) -> tuple[int, ...]:
     """Coefficients of the chromatic polynomial in the monomial basis:
     coeffs[k] is the coefficient of q**k.
 
@@ -129,8 +129,8 @@ def chromatic_polynomial(g: Graph, cap: int = DEFAULT_POLY_CAP) -> tuple[int, ..
     base-B digits (Kronecker substitution).  By Whitney's broken-circuit
     theorem the coefficient of q**(n - i) is at most C(m, i) < B/2 in
     absolute value, so each digit is one coefficient."""
-    if g.n > cap:
-        raise CapExceededError(f"n={g.n} exceeds polynomial cap {cap}")
+    if g.n > DEFAULT_POLY_CAP:
+        raise CapExceededError(f"n={g.n} exceeds polynomial cap {DEFAULT_POLY_CAP}")
     shift = g.edge_count() + 2
     base = 1 << shift
     value = _count_frontier(g, base)

@@ -8,7 +8,6 @@ used for the adjacency rows themselves.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -93,9 +92,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(r.bit_count() for r in self.rows))
 
 
 @dataclass(frozen=True)
@@ -498,9 +494,7 @@ def _is_canonical_prefix(rows: Sequence[int], m: int) -> bool:
 # Exhaustive enumeration of d-regular graphs up to isomorphism
 # ---------------------------------------------------------------------------
 
-def enumerate_regular(
-    n: int, d: int, *, connected: bool = True, cap: int | None = None
-) -> Iterator[Graph]:
+def enumerate_regular(n: int, d: int, *, connected: bool = True) -> Iterator[Graph]:
     """Yield exactly one representative per isomorphism class of d-regular
     graphs on n vertices, in a deterministic order.
 
@@ -508,15 +502,14 @@ def enumerate_regular(
     graphs factor into smaller members of the same families and can be
     assembled with disjoint_copies).  Generation is refused above the cap,
     which defaults to 12 and can be overridden with the CHROMA_CAP_N
-    environment variable or the `cap` argument.
+    environment variable.  An odd n*d is refused, since no such graph exists.
 
     The search adds one vertex at a time together with its back-edges and
     keeps a partial graph only when it is degree-feasible and its adjacency
     bit string is the lexicographic minimum over all relabelings, so each
     isomorphism class survives along exactly one path.
     """
-    if cap is None:
-        cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+    cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
     if n < 1:
         raise InvalidParameterError("n must be at least 1")
     if d < 0 or d >= n:
@@ -524,8 +517,7 @@ def enumerate_regular(
     if n > cap:
         raise CapExceededError(f"n={n} exceeds generation cap {cap}")
     if (n * d) % 2 == 1:
-        warnings.warn(f"n*d = {n * d} is odd: no {d}-regular graph on {n} vertices exists")
-        return iter(())
+        raise InvalidParameterError(f"n*d = {n * d} is odd: no {d}-regular graph on {n} vertices exists")
     return _generate_regular(n, d, connected)
 
 

@@ -11,10 +11,18 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["verify-colorings", "count-polynomial", "scan-quartic", "verify-indsets-bulk"])
-def test_bench_tiny_run_is_correct(workload):
+WORKLOADS = ["verify-colorings", "count-polynomial", "scan-quartic", "verify-indsets-bulk"]
+
+
+# --trace 1 wraps names of the chromacount modules in place, so a traced run
+# fails when a module stops importing a name the tracer wraps
+@pytest.mark.parametrize(
+    "workload,trace",
+    [pytest.param(w, "0", id=w) for w in WORKLOADS] + [pytest.param(w, "1", id=f"{w}-traced") for w in WORKLOADS],
+)
+def test_bench_tiny_run_is_correct(workload, trace):
     pytest.importorskip("networkx")
-    argv = [sys.executable, os.path.join(ROOT, "bench", "run.py"), "--workload", workload]
+    argv = [sys.executable, os.path.join(ROOT, "bench", "run.py"), "--workload", workload, "--trace", trace]
     proc = subprocess.run(
         argv + ["--size", "tiny", "--seed", "1", "--seconds", "1"],
         capture_output=True,

@@ -372,6 +372,10 @@ def _records_argv(bad, g6):
     return ["scan", "--n", "6", "--d", "3", "--q", "3", "--records", bad]
 
 
+def _odd_nd_argv(bad, g6):
+    return ["scan", "--n", "7", "--d", "3", "--q", "3"]
+
+
 MALFORMED_INPUTS = {
     "graph6-non-ascii": ("bad.g6", b"C~\nC\xe9~\n", _graph6_argv),
     "hom-json-syntax": ("h.json", b'{"k": 2, "edges": [[0, 1]', _hom_argv),
@@ -384,6 +388,7 @@ MALFORMED_INPUTS = {
     "records-best-not-decimal": ("records.json", b'{"6:3:3:0": {"best": "x"}}', _records_argv),
     "records-entry-not-an-object": ("records.json", b'{"6:3:3:0": 5}', _records_argv),
     "records-entry-without-best": ("records.json", b'{"6:3:3:0": {}}', _records_argv),
+    "scan-odd-nd": ("unused", b"", _odd_nd_argv),
 }
 
 
@@ -473,6 +478,55 @@ def test_parallel_verify_rejects_malformed_line_before_pool(tmp_path, capsys, mo
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
 
 
+def _one_graph(tmp_path):
+    return write_g6(tmp_path, "g.g6", [complete_bipartite(3, 3)])
+
+
+COMMAND_INPUT_ERRORS = {
+    "verify-unknown-target": (
+        lambda tmp_path: ["verify", "--graphs", _one_graph(tmp_path), "--target", "nope"],
+        "error: unknown target 'nope'",
+    ),
+    "verify-without-q": (
+        lambda tmp_path: ["verify", "--graphs", _one_graph(tmp_path)],
+        "error: --q is required for --target colorings",
+    ),
+    "certificate-two-graphs": (
+        lambda tmp_path: ["certificate", "--graph", write_g6(tmp_path, "two.g6", [cycle(5), cycle(6)]), "--q", "3"],
+        "error: --graph must supply exactly one graph",
+    ),
+    "certificate-irregular": (
+        lambda tmp_path: ["certificate", "--graph", write_g6(tmp_path, "k4e.g6", [k4_minus_edge()]), "--q", "3"],
+        "error: certificate requires a d-regular graph with d >= 2",
+    ),
+    "certificate-indset-not-numeric": (
+        lambda tmp_path: ["certificate", "--graph", _one_graph(tmp_path), "--q", "3", "--indset", "0,x"],
+        "error: --indset must be a comma-separated vertex list or 'auto'",
+    ),
+    "certificate-indset-out-of-range": (
+        lambda tmp_path: ["certificate", "--graph", _one_graph(tmp_path), "--q", "3", "--indset", "0,6"],
+        "error: --indset vertices out of range",
+    ),
+    "scan-file-without-graphs": (
+        lambda tmp_path: ["scan", "--n", "6", "--d", "3", "--q", "3", "--source", "file"],
+        "error: --source file requires --graphs",
+    ),
+    "argparse-usage": (
+        lambda tmp_path: ["verify"],
+        "usage error: the following arguments are required: --graphs",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMMAND_INPUT_ERRORS))
+def test_command_input_error_is_one_line(tmp_path, capsys, case):
+    argv, message = COMMAND_INPUT_ERRORS[case]
+    code = main(argv(tmp_path))
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err == message + "\n"
+
+
 @pytest.mark.parametrize("eps", [-0.1, 1.5])
 def test_eps_outside_unit_interval_rejected_alike(capsys, eps):
     from chromacount import constrained_scan, explicit_weak_bound
@@ -482,10 +536,12 @@ def test_eps_outside_unit_interval_rejected_alike(capsys, eps):
         constrained_scan(regular_family(6, 3), 3, eps)
     with pytest.raises(InvalidParameterError, match=r"eps must lie in \[0, 1\]"):
         explicit_weak_bound(10, 3, 3, eps)
-    code = main(["bounds", "--n", "10", "--d", "3", "--q", "3", "--eps", str(eps)])
-    captured = capsys.readouterr()
-    assert code == EXIT_USAGE and captured.out == ""
-    assert captured.err == "error: eps must lie in [0, 1]\n"
+    # bounds computes no weak bound at q = 2, but checks eps all the same
+    for q in ("2", "3"):
+        code = main(["bounds", "--n", "10", "--d", "3", "--q", q, "--eps", str(eps)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err == "error: eps must lie in [0, 1]\n"
 
 
 @pytest.mark.parametrize(

@@ -209,10 +209,9 @@ def test_enumerate_regular_deterministic_order():
     assert first == second
 
 
-def test_enumerate_regular_odd_nd_warns_empty():
-    with pytest.warns(UserWarning):
-        out = list(enumerate_regular(5, 3))
-    assert out == []
+def test_enumerate_regular_odd_nd_raises():
+    with pytest.raises(InvalidParameterError, match=r"n\*d = 15 is odd: no 3-regular graph on 5 vertices exists"):
+        enumerate_regular(5, 3)
 
 
 def test_enumerate_regular_cap():
