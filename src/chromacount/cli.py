@@ -33,7 +33,7 @@ from .graphs import (
 )
 from .kdd import eta, m_count
 from .records import RecordStore
-from .verdicts import Verdict, _eps_fraction, alon_kahn_verdict, conjecture_verdict, constrained_scan, hom_conjecture_verdict, reference_bound
+from .verdicts import Verdict, _eps_fraction, alon_kahn_verdict, alpha_admitted, conjecture_verdict, constrained_scan, hom_conjecture_verdict, reference_bound
 
 EXIT_OK = 0
 EXIT_CROSSCHECK = 2
@@ -264,7 +264,9 @@ def cmd_certificate(args) -> int:
             verts = [int(tok) for tok in args.indset.split(",") if tok.strip() != ""]
         except ValueError:
             raise InvalidParameterError("--indset must be a comma-separated vertex list or 'auto'") from None
-        if not verts or any(not 0 <= v < g.n for v in verts):
+        if not verts:
+            raise InvalidParameterError("--indset names no vertex")
+        if any(not 0 <= v < g.n for v in verts):
             raise InvalidParameterError("--indset vertices out of range")
         indset = mask_of(verts)
     p = phi(cls.degree, args.q)
@@ -350,7 +352,7 @@ def cmd_bounds(args) -> int:
         "n": args.n,
         "d": args.d,
         "q": args.q,
-        "eps": None if args.eps is None else str(args.eps),
+        "eps": args.eps,
         "reference_base": str(ref.base),
         "reference_exp": [ref.exp_num, ref.exp_den],
         "reference_log2": _log2(Fraction(ref.base)) * ref.exp_num / ref.exp_den if ref.base else None,
@@ -377,7 +379,7 @@ def cmd_bounds(args) -> int:
                 row["below_weak_bound"] = ok
                 violation = violation or not ok
             if weak_eps is not None:
-                if Fraction(2 * row["alpha"]) <= Fraction(g.n) * (1 - eps):
+                if alpha_admitted(row["alpha"], g.n, eps):
                     ok = Fraction(exact) <= weak_eps
                     row["below_weak_bound_eps"] = ok
                     violation = violation or not ok
@@ -434,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--eps", type=float)
+    p.add_argument("--eps")
     p.add_argument("--graphs", help="optional graph6 file for exact columns")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)

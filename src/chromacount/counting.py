@@ -10,7 +10,8 @@ partitions of the frontier with integer weights, run at one q.  The
 chromatic polynomial is the same pass at one large q, whose value holds
 every coefficient as a base-q digit.  The frontier pass and backtracking
 share only the vertex order, so `count --method both` compares independent
-algorithms.
+algorithms.  Independent sets are counted by a frontier pass whose state
+is a vertex mask, with homomorphisms into `h_ind` as the oracle.
 
 All counts are exact Python integers; nothing here rounds.
 """
@@ -22,17 +23,17 @@ from .errors import CapExceededError, InvalidParameterError
 from .graphs import Graph, TargetGraph, complete_target, components
 
 DEFAULT_POLY_CAP = 14
-# Live states allowed in one step of the frontier pass, and entries allowed
-# in the independent-set memo.  A frontier step holds two tables; over-cap
-# inputs (random cubic graphs, n = 40 at q = 4 and n = 60 at q = 5, Python
-# 3.11) peaked at 300-460 MB of RSS when CapExceededError was raised; the
-# memo of over-cap random cubic graphs (n = 48 to 60) at 130-135 MB.
+# Live states allowed in one step of either frontier pass; a step holds two
+# tables.  When CapExceededError was raised (Python 3.11), over-cap colouring
+# inputs (random cubic graphs, n = 40 at q = 4 and n = 60 at q = 5) had
+# peaked at 300-460 MB of RSS, and over-cap independent-set inputs (random
+# 4-, 5- and 6-regular graphs, n = 60 and 62) at 175-210 MB.
 DEFAULT_STATE_CAP = 1_000_000
 
 
-def _bfs_order(g: Graph) -> list[int]:
-    # connected elimination order: BFS from vertex 0, restarting at the
-    # smallest unvisited vertex for further components
+def _bfs_order(g: Graph) -> tuple[list[int], list[int]]:
+    # the vertex order of every pass and each vertex's position in it: BFS
+    # from vertex 0, restarting at the smallest unvisited vertex
     order: list[int] = []
     seen = [False] * g.n
     for s in range(g.n):
@@ -49,7 +50,10 @@ def _bfs_order(g: Graph) -> list[int]:
                 if not seen[v]:
                     seen[v] = True
                     queue.append(v)
-    return order
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return order, pos
 
 
 def count_colorings(g: Graph, q: int, method: str = "frontier") -> int:
@@ -88,10 +92,7 @@ def _count_frontier(g: Graph, q: int) -> int:
     states raise CapExceededError."""
     cap = DEFAULT_STATE_CAP
     n = g.n
-    order = _bfs_order(g)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
+    order, pos = _bfs_order(g)
     # a vertex stays on the frontier until its last neighbour is placed
     leaves = [max((pos[w] for w in g.neighbors(v)), default=-1) for v in range(n)]
     frontier: list[int] = []
@@ -164,8 +165,7 @@ def count_homomorphisms(g: Graph, h: TargetGraph) -> int:
         return 1
     if h.k == 0:
         return 0
-    order = _bfs_order(g)
-    pos = {v: i for i, v in enumerate(order)}
+    order, pos = _bfs_order(g)
     earlier: list[list[int]] = []
     for i, v in enumerate(order):
         earlier.append([pos[w] for w in g.neighbors(v) if pos[w] < i])
@@ -190,38 +190,34 @@ def count_homomorphisms(g: Graph, h: TargetGraph) -> int:
 
 
 def count_independent_sets(g: Graph) -> int:
-    """Number of independent sets, the empty set included.  A memo of more
-    than DEFAULT_STATE_CAP vertex masks raises CapExceededError."""
+    """Number of independent sets, the empty set included, by one frontier
+    pass over the vertices in BFS order.  A state is the vertex mask of the
+    frontier vertices in the set; a new vertex is left out, or joins when no
+    neighbour is in the state.  More than DEFAULT_STATE_CAP live states
+    raise CapExceededError."""
     cap = DEFAULT_STATE_CAP
-    rows = g.rows
-    memo: dict[int, int] = {}
-
-    def count(mask: int) -> int:
-        if mask == 0:
-            return 1
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        if len(memo) > cap:
-            raise CapExceededError(f"independent-set memo exceeds state cap {cap}")
-        # branch on a maximum-degree vertex of the induced subgraph
-        best_v = -1
-        best_d = -1
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            dv = (rows[v] & mask).bit_count()
-            if dv > best_d:
-                best_d = dv
-                best_v = v
-        v = best_v
-        without = count(mask & ~(1 << v))
-        with_v = count(mask & ~(rows[v] | (1 << v)))
-        memo[mask] = out = without + with_v
-        return out
-
-    return count((1 << g.n) - 1)
+    n = g.n
+    order, pos = _bfs_order(g)
+    # gone[i]: the vertices that are off the frontier from step i on
+    gone = [0] * n
+    for v in range(n):
+        gone[max([pos[v]] + [pos[w] for w in g.neighbors(v)])] |= 1 << v
+    live = 0
+    table = {0: 1}
+    for i, v in enumerate(order):
+        live = (live | 1 << v) & ~gone[i]
+        rows_v = g.rows[v]
+        nxt: dict[int, int] = {}
+        for state, w in table.items():
+            key = state & live
+            nxt[key] = nxt.get(key, 0) + w
+            if not state & rows_v:
+                key = (state | 1 << v) & live
+                nxt[key] = nxt.get(key, 0) + w
+            if len(nxt) > cap:
+                raise CapExceededError(f"frontier pass exceeds state cap {cap} at vertex {i + 1} of {n}")
+        table = nxt
+    return sum(table.values())
 
 
 def _clique_cover_bound(rows: Sequence[int], mask: int) -> int:

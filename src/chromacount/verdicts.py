@@ -16,7 +16,7 @@ from typing import Iterable
 from .counting import count_colorings, count_homomorphisms, count_independent_sets, independence_number
 from .errors import InvalidParameterError, NotRegularError
 from .graphs import Graph, TargetGraph, classify, complete, complete_bipartite, write_graph6
-from .kdd import count_colorings_kdd, eta, m_count
+from .kdd import count_colorings_kdd
 
 
 @dataclass(frozen=True)
@@ -88,19 +88,13 @@ class ReferenceBound:
     base: int          # c_q(K_{d,d})
     exp_num: int       # n
     exp_den: int       # 2d
-    display: float     # base^(n/2d)
-    idealized: float   # eta^(n/2) * m^(n/2d)
 
 
 def reference_bound(n: int, d: int, q: int) -> ReferenceBound:
-    """The exact reference c_q(K_{d,d})^(n/2d) as a (base, n, 2d) triple with
-    a display value, next to the idealized eta^(n/2) * m^(n/2d)."""
+    """The exact reference c_q(K_{d,d})^(n/2d) as a (base, n, 2d) triple."""
     if d < 1 or q < 2 or n < 1:
         raise InvalidParameterError("need d >= 1, q >= 2, n >= 1")
-    base = count_colorings_kdd(d, q)
-    display = math.exp(math.log(base) * n / (2 * d)) if base else 0.0
-    ideal = math.exp(math.log(eta(q)) * n / 2 + math.log(m_count(q)) * n / (2 * d)) if eta(q) else 0.0
-    return ReferenceBound(base, n, 2 * d, display, ideal)
+    return ReferenceBound(count_colorings_kdd(d, q), n, 2 * d)
 
 
 def alon_kahn_verdict(g: Graph) -> Verdict:
@@ -140,6 +134,11 @@ def _eps_fraction(eps) -> Fraction:
     return eps_frac
 
 
+def alpha_admitted(alpha: int, n: int, eps: Fraction) -> bool:
+    """The scan's constraint on the independence number: 2*alpha <= n(1 - eps)."""
+    return 2 * alpha <= n * (1 - eps)
+
+
 def constrained_scan(family: Iterable[Graph], q: int, eps) -> ScanResult:
     """Maximum of c_q over the family members whose independence number is
     at most (n/2)(1-eps), with the full (alpha, count) table sorted by
@@ -155,7 +154,7 @@ def constrained_scan(family: Iterable[Graph], q: int, eps) -> ScanResult:
         elif (g.n, dg) != (n, d):
             raise InvalidParameterError(f"mixed family: ({g.n},{dg}) next to ({n},{d})")
         alpha = independence_number(g)
-        if Fraction(2 * alpha) > Fraction(n) * (1 - eps_frac):
+        if not alpha_admitted(alpha, n, eps_frac):
             continue
         count = count_colorings(g, q)
         g6 = write_graph6(g)

@@ -1,14 +1,17 @@
 import gc
 import json
+import math
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
-from chromacount import complete, complete_bipartite, cycle, write_graph6
+from chromacount import complete, complete_bipartite, cycle, disjoint_copies, write_graph6
 from chromacount.cli import EXIT_CAP, EXIT_CROSSCHECK, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
-from helpers import k4_minus_edge, regular_family
+from helpers import k4_minus_edge, petersen, regular_family
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -320,10 +323,20 @@ def test_bounds_q2_reference(capsys):
 
 
 def test_bounds_eps_column(capsys):
-    code, out = run(capsys, ["bounds", "--n", "10", "--d", "3", "--q", "3", "--eps", "0.3"])
+    # --eps is read as exact text, as by scan: "1/3" is a fraction
+    for eps in ("0.3", "1/3"):
+        code, out = run(capsys, ["bounds", "--n", "10", "--d", "3", "--q", "3", "--eps", eps])
+        assert code == EXIT_OK
+        head = json_lines(out)[0]
+        assert head["eps"] == eps
+        assert head["weak_bound_eps_log2"] < head["weak_bound_log2"]
+
+
+def test_bounds_large_n_is_finite(capsys):
+    code, out = run(capsys, ["bounds", "--n", "1000", "--d", "3", "--q", "4"])
     assert code == EXIT_OK
     head = json_lines(out)[0]
-    assert head["weak_bound_eps_log2"] < head["weak_bound_log2"]
+    assert math.isfinite(head["reference_log2"]) and math.isfinite(head["weak_bound_log2"])
 
 
 def test_bounds_domain_error(capsys):
@@ -440,6 +453,16 @@ def test_verify_classifies_each_graph_once(tmp_path, capsys, monkeypatch):
     assert code == EXIT_USAGE
 
 
+def test_verify_indsets_beyond_memo_reach(tmp_path, capsys):
+    # five disjoint Petersen graphs (n = 50) overflowed the former mask memo
+    path = write_g6(tmp_path, "p5.g6", [disjoint_copies(petersen(), 5)])
+    code, out = run(capsys, ["verify", "--graphs", path, "--target", "indsets"])
+    assert code == EXIT_OK
+    (rec, summary) = json_lines(out)
+    assert rec["comparisons"][0]["lhs_base"] == str(76**5)
+    assert rec["holds"] and summary["holds"] == 1
+
+
 def test_verify_indsets_over_memo_cap_exits_cap(tmp_path, capsys, monkeypatch):
     import chromacount.counting as counting
 
@@ -507,6 +530,10 @@ COMMAND_INPUT_ERRORS = {
         lambda tmp_path: ["certificate", "--graph", _one_graph(tmp_path), "--q", "3", "--indset", "0,6"],
         "error: --indset vertices out of range",
     ),
+    "certificate-indset-empty": (
+        lambda tmp_path: ["certificate", "--graph", _one_graph(tmp_path), "--q", "3", "--indset", ","],
+        "error: --indset names no vertex",
+    ),
     "scan-file-without-graphs": (
         lambda tmp_path: ["scan", "--n", "6", "--d", "3", "--q", "3", "--source", "file"],
         "error: --source file requires --graphs",
@@ -566,3 +593,23 @@ def test_version_is_defined_once(capsys):
     assert exc.value.code == 0
     assert capsys.readouterr().out == f"{chromacount.__version__}\n"
     assert chromacount.__version__ == declared
+
+
+def test_cli_runs_on_the_standard_library_alone(tmp_path):
+    # -S loads no site-packages, so an import of a third-party module fails
+    g6 = write_g6(tmp_path, "k33.g6", [complete_bipartite(3, 3)])
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    commands = [
+        ["count", "--graph", g6, "--q", "3"],
+        ["verify", "--graphs", g6, "--q", "3"],
+        ["verify", "--graphs", g6, "--target", "indsets"],
+        ["scan", "--n", "6", "--d", "3", "--q", "3"],
+        ["bounds", "--n", "6", "--d", "3", "--q", "3", "--graphs", g6],
+        ["certificate", "--graph", g6, "--q", "3"],
+    ]
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-S", "-m", "chromacount.cli"] + argv,
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, (argv, proc.stderr)

@@ -5,6 +5,7 @@ import pytest
 from chromacount import (
     InvalidParameterError,
     alon_kahn_verdict,
+    asymptotic_gap,
     complete,
     complete_bipartite,
     complete_target,
@@ -89,15 +90,13 @@ def test_reference_bound():
     assert rb.base == 2 and (rb.exp_num, rb.exp_den) == (12, 6)
 
     rb = reference_bound(6, 3, 3)
-    assert rb.base == 42
-    assert rb.display == pytest.approx(42.0)
+    assert rb.base == 42 and (rb.exp_num, rb.exp_den) == (6, 6)
 
-    # the idealized display value approaches the exact one as d grows
-    gaps = []
-    for d in (5, 10, 20):
-        rb = reference_bound(2 * d, d, 3)
-        gaps.append(abs(rb.display - rb.idealized) / rb.display)
+    # at n = 2d the reference is c_3(K_{d,d}) itself; the idealized
+    # eta^d * m approaches it as d grows
+    gaps = [abs(1 - asymptotic_gap(d, 3).ratio) for d in (5, 10, 20)]
     assert gaps[2] < gaps[1] < gaps[0]
+    assert reference_bound(2 * 20, 20, 3).base == asymptotic_gap(20, 3).colorings
 
 
 def test_alon_kahn_examples():
