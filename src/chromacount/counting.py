@@ -11,7 +11,8 @@ chromatic polynomial is the same pass at one large q, whose value holds
 every coefficient as a base-q digit.  The frontier pass and backtracking
 share only the vertex order, so `count --method both` compares independent
 algorithms.  Independent sets are counted by a frontier pass whose state
-is a vertex mask, with homomorphisms into `h_ind` as the oracle.
+is the vertex mask of the unplaced vertices next to the set, with
+homomorphisms into `h_ind` as the oracle.
 
 All counts are exact Python integers; nothing here rounds.
 """
@@ -27,7 +28,7 @@ DEFAULT_POLY_CAP = 14
 # tables.  When CapExceededError was raised (Python 3.11), over-cap colouring
 # inputs (random cubic graphs, n = 40 at q = 4 and n = 60 at q = 5) had
 # peaked at 300-460 MB of RSS, and over-cap independent-set inputs (random
-# 4-, 5- and 6-regular graphs, n = 60 and 62) at 175-210 MB.
+# 3-, 4- and 6-regular graphs, n = 100) at 230-300 MB.
 DEFAULT_STATE_CAP = 1_000_000
 
 
@@ -192,27 +193,26 @@ def count_homomorphisms(g: Graph, h: TargetGraph) -> int:
 def count_independent_sets(g: Graph) -> int:
     """Number of independent sets, the empty set included, by one frontier
     pass over the vertices in BFS order.  A state is the vertex mask of the
-    frontier vertices in the set; a new vertex is left out, or joins when no
-    neighbour is in the state.  More than DEFAULT_STATE_CAP live states
-    raise CapExceededError."""
+    unplaced vertices with a neighbour in the set; it depends only on
+    which frontier vertices are in the set, so no step holds more states
+    than there are such subsets, and often far fewer (K_{d,d} holds 3).  A
+    new vertex is left out, or joins when the state does not forbid it.
+    More than DEFAULT_STATE_CAP live states raise CapExceededError."""
     cap = DEFAULT_STATE_CAP
     n = g.n
-    order, pos = _bfs_order(g)
-    # gone[i]: the vertices that are off the frontier from step i on
-    gone = [0] * n
-    for v in range(n):
-        gone[max([pos[v]] + [pos[w] for w in g.neighbors(v)])] |= 1 << v
-    live = 0
+    order, _ = _bfs_order(g)
+    unplaced = (1 << n) - 1
     table = {0: 1}
     for i, v in enumerate(order):
-        live = (live | 1 << v) & ~gone[i]
-        rows_v = g.rows[v]
+        bit = 1 << v
+        unplaced &= ~bit
+        rows_v = g.rows[v] & unplaced
         nxt: dict[int, int] = {}
         for state, w in table.items():
-            key = state & live
+            key = state & ~bit
             nxt[key] = nxt.get(key, 0) + w
-            if not state & rows_v:
-                key = (state | 1 << v) & live
+            if not state & bit:
+                key = state | rows_v
                 nxt[key] = nxt.get(key, 0) + w
             if len(nxt) > cap:
                 raise CapExceededError(f"frontier pass exceeds state cap {cap} at vertex {i + 1} of {n}")

@@ -453,20 +453,25 @@ def test_verify_classifies_each_graph_once(tmp_path, capsys, monkeypatch):
     assert code == EXIT_USAGE
 
 
-def test_verify_indsets_beyond_memo_reach(tmp_path, capsys):
-    # five disjoint Petersen graphs (n = 50) overflowed the former mask memo
-    path = write_g6(tmp_path, "p5.g6", [disjoint_copies(petersen(), 5)])
-    code, out = run(capsys, ["verify", "--graphs", path, "--target", "indsets"])
-    assert code == EXIT_OK
-    (rec, summary) = json_lines(out)
-    assert rec["comparisons"][0]["lhs_base"] == str(76**5)
-    assert rec["holds"] and summary["holds"] == 1
+def test_verify_indsets_reach(tmp_path, capsys):
+    # five disjoint Petersen graphs (n = 50) overflowed the former mask memo;
+    # K_{20,20}, the equality case at n = 40, overflowed a pass keyed on the
+    # frontier vertices in the set, which holds every subset of one side
+    for g, count in ((disjoint_copies(petersen(), 5), 76**5), (complete_bipartite(20, 20), 2**21 - 1)):
+        path = write_g6(tmp_path, "g.g6", [g])
+        code, out = run(capsys, ["verify", "--graphs", path, "--target", "indsets"])
+        assert code == EXIT_OK
+        (rec, summary) = json_lines(out)
+        assert rec["comparisons"][0]["lhs_base"] == str(count)
+        assert rec["holds"] and summary["holds"] == 1
+    assert rec["equality"] and summary["equality"] == 1
 
 
 def test_verify_indsets_over_memo_cap_exits_cap(tmp_path, capsys, monkeypatch):
     import chromacount.counting as counting
 
-    monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", 3)
+    # the pass holds 3 states on K_{3,3}
+    monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", 2)
     path = write_g6(tmp_path, "k33.g6", [complete_bipartite(3, 3)])
     code = main(["verify", "--graphs", path, "--target", "indsets"])
     captured = capsys.readouterr()

@@ -249,25 +249,25 @@ def test_hom_examples():
     assert count_homomorphisms(g, h_ind()) == brute_count_homomorphisms(g, h_ind())
 
 
-def test_independent_set_state_cap(monkeypatch):
+def test_independent_set_memo_cap(monkeypatch):
     import chromacount.counting as counting
 
     monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", 3)
-    assert count_independent_sets(complete(3)) == 4  # at most 3 live states
+    assert count_independent_sets(complete(4)) == 5  # fits under the cap
+    # K_{d,d} holds 3 states at any d: the forbidden set is {}, the rest of
+    # one side, or what is left of the other
+    assert count_independent_sets(complete_bipartite(20, 20)) == 2**21 - 1
     with pytest.raises(CapExceededError, match="state cap 3"):
         count_independent_sets(petersen())
 
 
-def test_count_independent_sets_beyond_memo_reach():
+def test_count_independent_sets_examples():
+    # i(K_{d,d}) = 2^(d+1) - 1: any subset of one side, the empty set once
+    for d in list(range(1, 10)) + [20]:
+        assert count_independent_sets(complete_bipartite(d, d)) == 2 ** (d + 1) - 1
     # five disjoint Petersen graphs (n = 50) overflowed the former mask memo
     assert count_independent_sets(petersen()) == 76
     assert count_independent_sets(disjoint_copies(petersen(), 5)) == 76**5
-
-
-def test_count_independent_sets_examples():
-    # i(K_{d,d}) = 2^(d+1) - 1: any subset of one side, the empty set once
-    for d in range(1, 10):
-        assert count_independent_sets(complete_bipartite(d, d)) == 2 ** (d + 1) - 1
     edgeless = Graph(6, (0,) * 6)
     assert count_independent_sets(edgeless) == 64
     assert count_independent_sets(complete(3)) == 4  # enumerate all 8 subsets
