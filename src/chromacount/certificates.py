@@ -303,8 +303,13 @@ def lemma_opt_bound(values: Sequence, a, delta) -> LemmaBound:
 # Fully explicit finite-d weak bound
 # ---------------------------------------------------------------------------
 
-def _ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+def _binomial_sum(n: int, k: int) -> int:
+    # sum of C(n, i) for 0 <= i <= k, by C(n, i+1) = C(n, i) * (n - i) / (i + 1)
+    total = term = 1
+    for i in range(k):
+        term = term * (n - i) // (i + 1)
+        total += term
+    return total
 
 
 def _sqrt_upper(x: Fraction) -> Fraction:
@@ -341,7 +346,7 @@ def explicit_weak_bound(n: int, d: int, q: int, eps=None) -> Fraction:
 
     p = phi(d, q)
     i_cap = min(n, math.floor(n / p + COMPARE_EPS))
-    binsum = sum(math.comb(n, i) for i in range(i_cap + 1))
+    binsum = _binomial_sum(n, i_cap)
 
     size_cap = math.ceil(n * d / (2 * d - p) - COMPARE_EPS)
     s_total = min(q * n, q * size_cap)
@@ -364,6 +369,6 @@ def explicit_weak_bound(n: int, d: int, q: int, eps=None) -> Fraction:
 
     out = Fraction(binsum) ** q * b_factor
     if eps_frac is not None and eps_frac > 0:
-        exponent = _ceil_fraction(Fraction(n) * eps_frac / 4)
+        exponent = math.ceil(Fraction(n) * eps_frac / 4)
         out *= Fraction(q * q - 1, q * q) ** exponent
     return out

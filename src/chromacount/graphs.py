@@ -331,7 +331,8 @@ def write_graph6(g: Graph) -> str:
 
 
 def parse_graph6(data: bytes | str) -> Graph:
-    """Parse one graph6 record (optional trailing newline tolerated)."""
+    """Parse one graph6 record (optional trailing newline tolerated).  The
+    padding bits of the last byte must be zero, as graph6 requires."""
     if isinstance(data, str):
         try:
             raw = data.encode("ascii")
@@ -372,20 +373,25 @@ def parse_graph6(data: bytes | str) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             k += 1
+    pad = 6 * need - nbits
+    if (raw[-1] - 63) & ((1 << pad) - 1):
+        raise Graph6ParseError("nonzero padding bits in last byte", need)
     return Graph(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
-# Canonical form: lexicographically minimal adjacency bit string over all
-# vertex permutations, upper triangle read column by column (the graph6 bit
-# order).  Used for isomorphism rejection and memoization.
+# Canonical form: lexicographically least adjacency bit string over all
+# vertex orderings, upper triangle read column by column (the graph6 bit
+# order).  Used for isomorphism rejection in enumerate_regular and as a
+# hashable isomorphism invariant.
 # ---------------------------------------------------------------------------
 
 def _blocks(rows: Sequence[int], m: int) -> list[int]:
     # block j = bits x(0,j)..x(j-1,j) of the current labeling, x(0,j) most
     # significant; the concatenation of blocks is the graph6 bit stream
+    # (block 0 is empty and always 0)
     out = []
-    for j in range(1, m):
+    for j in range(m):
         rj = rows[j]
         b = 0
         for i in range(j):
@@ -394,100 +400,51 @@ def _blocks(rows: Sequence[int], m: int) -> list[int]:
     return out
 
 
-def _find_smaller(rows: Sequence[int], m: int, best: list[int]) -> list[int] | None:
-    """Search all vertex orderings for a bit string strictly below `best`;
-    return its block list, or None if `best` is already minimal."""
-    used = [False] * m
-    perm: list[int] = []
-    blocks: list[int] = []
+def _least_blocks(rows: Sequence[int], m: int, best: list[int], first: bool = False) -> bool:
+    """Depth-first search over the vertex orderings of rows[:m] for the least
+    block list.  Every prefix above `best` is dropped, and `best` is lowered
+    in place when a smaller prefix turns up.  With `first`, return True at
+    the first prefix below `best` instead; otherwise return False."""
+    if not any(rows[:m]):
+        return False  # edgeless: every labeling ties
+    top = 1 << m  # above every block
 
-    def greedy_fill() -> list[int]:
-        # any completion beats `best` now; take the locally smallest blocks
-        while len(perm) < m:
-            best_b = None
-            best_u = -1
-            for u in range(m):
-                if used[u]:
-                    continue
-                ru = rows[u]
-                b = 0
-                for p in perm:
-                    b = (b << 1) | ((ru >> p) & 1)
-                if best_b is None or b < best_b:
-                    best_b, best_u = b, u
-            perm.append(best_u)
-            used[best_u] = True
-            blocks.append(best_b)
-        return list(blocks)
+    def rec(k: int, cands: list[tuple[int, int]]) -> bool:
+        # cands: (block of v against the k placed vertices, v) per unplaced v
+        low = min(cands)[0]
+        if low > best[k]:
+            return False
+        if low < best[k]:
+            if first:
+                return True
+            best[k:] = [low] + [top] * (m - 1 - k)
+        if k + 1 < m:
+            for b, u in cands:
+                if b == low:
+                    rest = [((c << 1) | ((rows[w] >> u) & 1), w) for c, w in cands if w != u]
+                    if rec(k + 1, rest):
+                        return True
+        return False
 
-    def rec() -> list[int] | None:
-        k = len(perm)
-        if k == m:
-            return None  # tied with best over the full string
-        for u in range(m):
-            if used[u]:
-                continue
-            if k == 0:
-                perm.append(u)
-                used[u] = True
-                r = rec()
-                perm.pop()
-                used[u] = False
-                if r is not None:
-                    return r
-                continue
-            ru = rows[u]
-            b = 0
-            for p in perm:
-                b = (b << 1) | ((ru >> p) & 1)
-            t = best[k - 1]
-            if b > t:
-                continue
-            perm.append(u)
-            used[u] = True
-            blocks.append(b)
-            if b < t:
-                return greedy_fill()
-            r = rec()
-            if r is not None:
-                return r
-            perm.pop()
-            used[u] = False
-            blocks.pop()
-        return None
-
-    return rec()
-
-
-def _canonical_blocks(rows: Sequence[int], m: int) -> list[int]:
-    cur = _blocks(rows, m)
-    if m <= 1 or sum(r.bit_count() for r in rows[:m]) == 0:
-        return cur  # at most one labeling class
-    while True:
-        smaller = _find_smaller(rows, m, cur)
-        if smaller is None:
-            return cur
-        cur = smaller
+    return rec(0, [(0, v) for v in range(m)])
 
 
 def _pack_blocks(blocks: Sequence[int]) -> int:
     v = 0
-    for k, b in enumerate(blocks, start=1):
+    for k, b in enumerate(blocks):
         v = (v << k) | b
     return v
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:
-    """Hashable isomorphism invariant: (n, packed minimal bit string)."""
-    return (g.n, _pack_blocks(_canonical_blocks(g.rows, g.n)))
+    """Hashable isomorphism invariant: (n, packed least bit string)."""
+    best = _blocks(g.rows, g.n)
+    _least_blocks(g.rows, g.n, best)
+    return (g.n, _pack_blocks(best))
 
 
 def _is_canonical_prefix(rows: Sequence[int], m: int) -> bool:
-    if m <= 1:
-        return True
-    if sum(rows[i].bit_count() for i in range(m)) == 0:
-        return True  # edgeless prefix: all labelings tie
-    return _find_smaller(rows, m, _blocks(rows, m)) is None
+    return not _least_blocks(rows, m, _blocks(rows, m), first=True)
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,18 @@ def test_explicit_weak_bound_eps_strictly_decreases():
     assert explicit_weak_bound(12, 3, 3, 0) == base
 
 
+def test_explicit_weak_bound_binomial_sum(monkeypatch):
+    from chromacount import certificates
+
+    for n in range(41):
+        for k in range(n + 1):
+            assert certificates._binomial_sum(n, k) == sum(math.comb(n, i) for i in range(k + 1))
+    cases = [(n, d, q) for n in (5, 12, 25, 40) for d in (2, 3, 4) for q in (3, 4, 5) if n >= d + 1]
+    fast = [explicit_weak_bound(*c) for c in cases]
+    monkeypatch.setattr(certificates, "_binomial_sum", lambda n, k: sum(math.comb(n, i) for i in range(k + 1)))
+    assert [explicit_weak_bound(*c) for c in cases] == fast
+
+
 def test_explicit_weak_bound_covers_exact_counts():
     for d, n in [(3, 6), (3, 8), (2, 5), (4, 8)]:
         from helpers import regular_family

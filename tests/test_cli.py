@@ -333,10 +333,11 @@ def test_bounds_eps_column(capsys):
 
 
 def test_bounds_large_n_is_finite(capsys):
-    code, out = run(capsys, ["bounds", "--n", "1000", "--d", "3", "--q", "4"])
-    assert code == EXIT_OK
-    head = json_lines(out)[0]
-    assert math.isfinite(head["reference_log2"]) and math.isfinite(head["weak_bound_log2"])
+    for argv in (["--n", "1000"], ["--n", "10000", "--eps", "0.3"]):
+        code, out = run(capsys, ["bounds", "--d", "3", "--q", "4"] + argv)
+        assert code == EXIT_OK
+        head = json_lines(out)[0]
+        assert math.isfinite(head["reference_log2"]) and math.isfinite(head["weak_bound_log2"])
 
 
 def test_bounds_domain_error(capsys):
@@ -391,6 +392,7 @@ def _odd_nd_argv(bad, g6):
 
 MALFORMED_INPUTS = {
     "graph6-non-ascii": ("bad.g6", b"C~\nC\xe9~\n", _graph6_argv),
+    "graph6-nonzero-padding": ("bad.g6", b"C~\nD?A\n", _graph6_argv),
     "hom-json-syntax": ("h.json", b'{"k": 2, "edges": [[0, 1]', _hom_argv),
     "hom-without-edges": ("h.json", b'{"k": 2}', _hom_argv),
     "hom-without-k": ("h.json", b'{"edges": [[0, 1]]}', _hom_argv),

@@ -204,6 +204,7 @@ def test_chromatic_polynomial_k77_matches_closed_form():
 
 
 def test_chromatic_polynomial_matches_backtracking_on_cubic_families():
+    assert len(regular_family(12, 3)) == 85  # OEIS A002851
     for n, qs in ((10, range(6)), (12, (3, 4))):
         for g in regular_family(n, 3):
             coeffs = chromatic_polynomial(g)

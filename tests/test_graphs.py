@@ -1,4 +1,6 @@
+import hashlib
 import random
+from itertools import permutations
 
 import pytest
 
@@ -14,6 +16,7 @@ from chromacount import (
     complete_bipartite,
     cycle,
     disjoint_copies,
+    disjoint_union,
     enumerate_regular,
     from_edges,
     h_ind,
@@ -102,6 +105,15 @@ def test_graph6_out_of_range_byte():
         parse_graph6("C" + chr(20))
 
 
+def test_graph6_nonzero_padding_rejected():
+    # n = 5 has 10 adjacency bits, so the last byte ends in two padding bits
+    assert parse_graph6("D??") == Graph(5, (0,) * 5)
+    for bad in ("D?A", "D?@"):
+        with pytest.raises(Graph6ParseError, match="padding") as exc:
+            parse_graph6(bad)
+        assert exc.value.offset == 2
+
+
 def test_graph6_size_limit():
     big = Graph(63, (0,) * 63)
     with pytest.raises(UnsupportedSizeError):
@@ -159,10 +171,38 @@ def test_canonical_key_isomorphism_invariant():
     assert canonical_key(cycle(6)) != canonical_key(complete_bipartite(3, 3))
 
 
+def _graph6_bits(g):
+    # the adjacency bit string of g's graph6 record, read as one integer
+    body = write_graph6(g)[1:]
+    value = 0
+    for ch in body:
+        value = (value << 6) | (ord(ch) - 63)
+    return value >> (6 * len(body) - g.n * (g.n - 1) // 2)
+
+
+def test_canonical_key_is_least_graph6_string():
+    # outside oracle: the least graph6 bit string over all n! relabellings
+    rng = random.Random(23)
+    graphs = [Graph(n, (0,) * n) for n in (1, 4, 7)] + [complete(n) for n in (2, 5, 7)]
+    graphs += [
+        disjoint_union(cycle(3), complete_bipartite(1, 3)),
+        disjoint_copies(complete(3), 2),
+        from_edges(7, [(0, 6), (2, 3), (3, 5)]),
+    ]
+    for _ in range(25):
+        n = rng.randint(2, 7)
+        p = rng.random()
+        graphs.append(from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    for g in graphs:
+        least = min(_graph6_bits(relabel(g, perm)) for perm in permutations(range(g.n)))
+        assert canonical_key(g) == (g.n, least)
+
+
 def test_enumerate_regular_counts():
-    assert len(regular_family(4, 3)) == 1
-    assert len(regular_family(6, 3)) == 2
-    assert len(regular_family(8, 3)) == 5
+    # OEIS A002851, connected cubic graphs (n = 12 is checked where that family is built)
+    assert [len(regular_family(n, 3)) for n in (4, 6, 8, 10)] == [1, 2, 5, 19]
+    # OEIS A006820, connected quartic graphs
+    assert [len(regular_family(n, 4)) for n in range(5, 11)] == [1, 1, 2, 6, 16, 59]
     # disconnected classes join when requested: K4 + K4 on eight vertices
     assert len(tuple(enumerate_regular(8, 3, connected=False))) == 6
 
@@ -207,6 +247,17 @@ def test_enumerate_regular_deterministic_order():
     first = [write_graph6(g) for g in enumerate_regular(8, 3)]
     second = [write_graph6(g) for g in enumerate_regular(8, 3)]
     assert first == second
+
+
+def test_enumerate_regular_output_pinned():
+    # sha256 of the newline-joined graph6 lines pins the classes and their order
+    digests = {
+        (10, 3): "52ebbafa00eae1d2c88fc76ffd82fd586113645f68e461026e4abbda688377ef",
+        (10, 4): "ff85772df96941eaeb657b137369afba2e91780780e85615b41c43515464a94f",
+    }
+    for (n, d), digest in digests.items():
+        lines = "\n".join(write_graph6(g) for g in regular_family(n, d))
+        assert hashlib.sha256(lines.encode()).hexdigest() == digest
 
 
 def test_enumerate_regular_odd_nd_raises():
