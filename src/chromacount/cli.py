@@ -14,6 +14,7 @@ import json
 import math
 import multiprocessing
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import __version__, counting
@@ -52,14 +53,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_graph_lines(path: str) -> list[str]:
+def _read_text_lines(path: str) -> list[str]:
+    # a byte that is not ASCII is kept (as a lone surrogate), so that
+    # parse_graph6 rejects it with the record's line
     if path == "-":
         text = sys.stdin.read()
     else:
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
             text = fh.read()
+    return text.splitlines()
+
+
+def _graph_lines(text_lines: list[str]) -> list[str]:
+    # the graph6 records: blank lines and a bare >>graph6<< header are skipped
     lines = []
-    for line in text.splitlines():
+    for line in text_lines:
         line = line.strip()
         if not line or line.startswith(">>graph6<<"):
             line = line.removeprefix(">>graph6<<").strip()
@@ -69,8 +77,27 @@ def _read_graph_lines(path: str) -> list[str]:
     return lines
 
 
+@contextmanager
+def _line_numbers(text_lines: list[str]):
+    """Name the 1-based line of a graph6 error raised while the records of
+    `text_lines` are parsed in file order: the first record that fails to
+    parse is then the one that raised, so only the error path numbers lines."""
+    try:
+        yield
+    except Graph6ParseError:
+        for number, text in enumerate(text_lines, 1):
+            for line in _graph_lines([text]):
+                try:
+                    parse_graph6(line)
+                except Graph6ParseError as exc:
+                    raise Graph6ParseError(exc.message, exc.offset, number) from None
+        raise
+
+
 def _read_graphs(path: str) -> list[Graph]:
-    return [parse_graph6(line) for line in _read_graph_lines(path)]
+    text_lines = _read_text_lines(path)
+    with _line_numbers(text_lines):
+        return [parse_graph6(line) for line in _graph_lines(text_lines)]
 
 
 def _load_target(path: str) -> TargetGraph:
@@ -193,7 +220,8 @@ def _verify_one(task) -> dict:
 
 
 def cmd_verify(args) -> int:
-    lines = _read_graph_lines(args.graphs)
+    text_lines = _read_text_lines(args.graphs)
+    lines = _graph_lines(text_lines)
     target = args.target
     h = None
     if target.startswith("hom:"):
@@ -205,16 +233,17 @@ def cmd_verify(args) -> int:
         raise InvalidParameterError("--q is required for --target colorings")
 
     tasks = [(line, args.q, target, h) for line in lines]
-    if args.jobs > 1 and len(tasks) > 1:
-        # a Graph6ParseError raised in a worker does not survive pickling, and
-        # pool.map reports whichever failure arrives first: parse every line
-        # here, in input order, before any worker starts
-        for line in lines:
-            parse_graph6(line)
-        with multiprocessing.Pool(args.jobs) as pool:
-            results = pool.map(_verify_one, tasks)
-    else:
-        results = [_verify_one(t) for t in tasks]
+    with _line_numbers(text_lines):
+        if args.jobs > 1 and len(tasks) > 1:
+            # a Graph6ParseError raised in a worker does not survive pickling,
+            # and pool.map reports whichever failure arrives first: parse every
+            # line here, in input order, before any worker starts
+            for line in lines:
+                parse_graph6(line)
+            with multiprocessing.Pool(args.jobs) as pool:
+                results = pool.map(_verify_one, tasks)
+        else:
+            results = [_verify_one(t) for t in tasks]
     results.sort(key=lambda r: r["graph6"])
 
     failures = [r for r in results if r["type"] == "verdict" and not r["holds"]]

@@ -10,10 +10,13 @@ class NotRegularError(InvalidParameterError):
 
 
 class Graph6ParseError(ValueError):
-    """Malformed graph6 input; ``offset`` is the first offending byte."""
+    """Malformed graph6 input; ``offset`` is the first offending byte of the
+    record.  Given ``line``, the message names the record's 1-based line."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message: str, offset: int, line: int | None = None):
+        where = "" if line is None else f"line {line}: "
+        super().__init__(f"{where}{message} (byte offset {offset})")
+        self.message = message
         self.offset = offset
 
 

@@ -383,35 +383,55 @@ def parse_graph6(data: bytes | str) -> Graph:
 # Canonical form: lexicographically least adjacency bit string over all
 # vertex orderings, upper triangle read column by column (the graph6 bit
 # order).  Used for isomorphism rejection in enumerate_regular and as a
-# hashable isomorphism invariant.
+# hashable isomorphism invariant.  The search places one vertex at a time and
+# keeps the unplaced vertices as cells, one bit mask per block against the
+# placed prefix, in block order (the ordered partition of nauty-style
+# refinement, without refining).  Only the first cell can come next, and of
+# two twins in it (same neighbours apart from each other) only one is tried.
 # ---------------------------------------------------------------------------
 
+def _block(row: int, j: int) -> int:
+    # bits x(0,j)..x(j-1,j) of vertex j's row, x(0,j) most significant
+    b = 0
+    for i in range(j):
+        b = (b << 1) | ((row >> i) & 1)
+    return b
+
+
 def _blocks(rows: Sequence[int], m: int) -> list[int]:
-    # block j = bits x(0,j)..x(j-1,j) of the current labeling, x(0,j) most
-    # significant; the concatenation of blocks is the graph6 bit stream
-    # (block 0 is empty and always 0)
-    out = []
-    for j in range(m):
-        rj = rows[j]
-        b = 0
-        for i in range(j):
-            b = (b << 1) | ((rj >> i) & 1)
-        out.append(b)
-    return out
+    # block j of the current labeling; the concatenation of blocks is the
+    # graph6 bit stream (block 0 is empty and always 0)
+    return [_block(rows[j], j) for j in range(m)]
+
+
+def _twin_masks(rows: Sequence[int], m: int) -> list[int]:
+    # twins[v]: the w != v whose neighbours, apart from v and w, are v's;
+    # swapping v and w is then an automorphism.  Non-adjacent twins share
+    # their row, adjacent twins their row plus their own bit.
+    by_row: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    for v in range(m):
+        r, bit = rows[v], 1 << v
+        by_row[r] = by_row.get(r, 0) | bit
+        by_closed[r | bit] = by_closed.get(r | bit, 0) | bit
+    return [(by_row[rows[v]] | by_closed[rows[v] | 1 << v]) & ~(1 << v) for v in range(m)]
 
 
 def _least_blocks(rows: Sequence[int], m: int, best: list[int], first: bool = False) -> bool:
     """Depth-first search over the vertex orderings of rows[:m] for the least
     block list.  Every prefix above `best` is dropped, and `best` is lowered
-    in place when a smaller prefix turns up.  With `first`, return True at
-    the first prefix below `best` instead; otherwise return False."""
+    in place when a smaller prefix turns up.  With `first`, `best` is only
+    read, and the search returns True at the first prefix below it; otherwise
+    it returns False."""
     if not any(rows[:m]):
-        return False  # edgeless: every labeling ties
+        return False  # edgeless (or empty): every labeling ties
     top = 1 << m  # above every block
+    twins = _twin_masks(rows, m)
 
-    def rec(k: int, cands: list[tuple[int, int]]) -> bool:
-        # cands: (block of v against the k placed vertices, v) per unplaced v
-        low = min(cands)[0]
+    def rec(k: int, cells: list[tuple[int, int]]) -> bool:
+        # cells: (block, mask of the unplaced vertices with that block against
+        # the k placed vertices), nonempty, in increasing block order
+        low, cands = cells[0]
         if low > best[k]:
             return False
         if low < best[k]:
@@ -419,14 +439,29 @@ def _least_blocks(rows: Sequence[int], m: int, best: list[int], first: bool = Fa
                 return True
             best[k:] = [low] + [top] * (m - 1 - k)
         if k + 1 < m:
-            for b, u in cands:
-                if b == low:
-                    rest = [((c << 1) | ((rows[w] >> u) & 1), w) for c, w in cands if w != u]
-                    if rec(k + 1, rest):
-                        return True
+            done = 0
+            while cands:
+                bit = cands & -cands
+                cands ^= bit
+                u = bit.bit_length() - 1
+                if twins[u] & done:
+                    continue  # a twin's subtree gave the same block lists
+                done |= bit
+                # place u: each cell splits into non-neighbours, then neighbours
+                row = rows[u]
+                away = ~(row | bit)
+                split = []
+                for b, mask in cells:
+                    b <<= 1
+                    if mask & away:
+                        split.append((b, mask & away))
+                    if mask & row:
+                        split.append((b | 1, mask & row))
+                if rec(k + 1, split):
+                    return True
         return False
 
-    return rec(0, [(0, v) for v in range(m)])
+    return rec(0, [(0, (1 << m) - 1)])
 
 
 def _pack_blocks(blocks: Sequence[int]) -> int:
@@ -443,8 +478,9 @@ def canonical_key(g: Graph) -> tuple[int, int]:
     return (g.n, _pack_blocks(best))
 
 
-def _is_canonical_prefix(rows: Sequence[int], m: int) -> bool:
-    return not _least_blocks(rows, m, _blocks(rows, m), first=True)
+def _is_canonical_prefix(rows: Sequence[int], m: int, blocks: list[int]) -> bool:
+    # blocks: _blocks(rows, m), or a longer list that starts with it
+    return not _least_blocks(rows, m, blocks, first=True)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +502,11 @@ def enumerate_regular(n: int, d: int, *, connected: bool = True) -> Iterator[Gra
     bit string is the lexicographic minimum over all relabelings, so each
     isomorphism class survives along exactly one path.
     """
-    cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+    cap_text = os.environ.get(ENUM_CAP_ENV, str(DEFAULT_ENUM_CAP))
+    try:
+        cap = int(cap_text)
+    except ValueError:
+        raise InvalidParameterError(f"{ENUM_CAP_ENV} must be an integer, got {cap_text!r}") from None
     if n < 1:
         raise InvalidParameterError("n must be at least 1")
     if d < 0 or d >= n:
@@ -481,6 +521,7 @@ def enumerate_regular(n: int, d: int, *, connected: bool = True) -> Iterator[Gra
 def _generate_regular(n: int, d: int, connected: bool) -> Iterator[Graph]:
     rows = [0] * n
     degs = [0] * n
+    blocks = [0] * n  # blocks[i] of the prefix; adding later vertices keeps it
 
     def feasible(m: int) -> bool:
         # prefix on m vertices is complete; f future vertices remain
@@ -514,10 +555,11 @@ def _generate_regular(n: int, d: int, connected: bool) -> Iterator[Graph]:
                     r |= 1 << i
                 rows[j] = r
                 degs[j] = size
+                blocks[j] = _block(r, j)
                 for i in combo:
                     rows[i] |= 1 << j
                     degs[i] += 1
-                if feasible(j + 1) and _is_canonical_prefix(rows, j + 1):
+                if feasible(j + 1) and _is_canonical_prefix(rows, j + 1, blocks):
                     yield from rec(j + 1)
                 for i in combo:
                     rows[i] &= ~(1 << j)

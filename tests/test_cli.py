@@ -301,6 +301,14 @@ def test_scan_cap(tmp_path, capsys):
     assert code == EXIT_CAP
 
 
+def test_scan_cap_not_an_integer_exits_usage(capsys, monkeypatch):
+    monkeypatch.setenv("CHROMA_CAP_N", "abc")
+    code = main(["scan", "--n", "6", "--d", "3", "--q", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err == "error: CHROMA_CAP_N must be an integer, got 'abc'\n"
+
+
 def test_bounds_table(tmp_path, capsys):
     path = write_g6(tmp_path, "cubic10.g6", list(regular_family(10, 3)))
     code, out = run(capsys, ["bounds", "--n", "10", "--d", "3", "--q", "3", "--graphs", path])
@@ -506,6 +514,44 @@ def test_parallel_verify_rejects_malformed_line_before_pool(tmp_path, capsys, mo
     captured = capsys.readouterr()
     assert code == EXIT_USAGE and captured.out == ""
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+def _corpus_argvs(path):
+    return [
+        ["verify", "--graphs", path, "--q", "3"],
+        ["verify", "--graphs", path, "--q", "3", "--jobs", "2"],
+        ["verify", "--graphs", path, "--target", "indsets"],
+        ["count", "--graph", path, "--q", "3"],
+        ["certificate", "--graph", path, "--q", "3"],
+        ["scan", "--n", "4", "--d", "3", "--q", "3", "--source", "file", "--graphs", path],
+        ["bounds", "--n", "4", "--d", "3", "--q", "3", "--graphs", path],
+    ]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # blank and bare header lines count: the bad record is on line 4
+        (b"C~\n\n>>graph6<<\nC~~\nC\n", "error: line 4: trailing bytes after adjacency bits (byte offset 2)"),
+        (b">>graph6<<C~\nC~\nD?A\n", "error: line 3: nonzero padding bits in last byte (byte offset 2)"),
+        # the byte offset is within the record, not within the file
+        (b"C~\n\nC\xe9~\n", "error: line 3: non-ASCII byte (byte offset 1)"),
+    ],
+)
+def test_graph6_error_names_its_line(tmp_path, capsys, monkeypatch, data, message):
+    import chromacount.cli as cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", no_pool)
+    path = tmp_path / "bad.g6"
+    path.write_bytes(data)
+    for argv in _corpus_argvs(str(path)):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == "", argv
+        assert captured.err == message + "\n", argv
 
 
 def _one_graph(tmp_path):

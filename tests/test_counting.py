@@ -1,3 +1,4 @@
+import hashlib
 from math import comb
 
 import pytest
@@ -24,6 +25,7 @@ from chromacount import (
     looped_vertex,
     maximum_independent_set,
     relabel,
+    write_graph6,
 )
 from chromacount.graphs import Graph
 
@@ -205,6 +207,9 @@ def test_chromatic_polynomial_k77_matches_closed_form():
 
 def test_chromatic_polynomial_matches_backtracking_on_cubic_families():
     assert len(regular_family(12, 3)) == 85  # OEIS A002851
+    # the classes and their order, pinned by the sha256 of the graph6 lines
+    lines = "\n".join(write_graph6(g) for g in regular_family(12, 3))
+    assert hashlib.sha256(lines.encode()).hexdigest() == "769e761873e711e15626581e6c4f76dcecce8a08f188fcdf52acb16e69d891ab"
     for n, qs in ((10, range(6)), (12, (3, 4))):
         for g in regular_family(n, 3):
             coeffs = chromatic_polynomial(g)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -27,9 +28,9 @@ from chromacount import (
     write_graph6,
 )
 from chromacount import count_homomorphisms
-from chromacount.graphs import components
+from chromacount.graphs import _blocks, _is_canonical_prefix, _pack_blocks, components
 
-from helpers import k4_minus_edge, random_regular, regular_family
+from helpers import k4_minus_edge, petersen, random_regular, regular_family
 
 
 def test_standard_constructors():
@@ -185,6 +186,8 @@ def test_canonical_key_is_least_graph6_string():
     rng = random.Random(23)
     graphs = [Graph(n, (0,) * n) for n in (1, 4, 7)] + [complete(n) for n in (2, 5, 7)]
     graphs += [
+        complete_bipartite(3, 3),
+        complete_bipartite(3, 4),
         disjoint_union(cycle(3), complete_bipartite(1, 3)),
         disjoint_copies(complete(3), 2),
         from_edges(7, [(0, 6), (2, 3), (3, 5)]),
@@ -196,6 +199,55 @@ def test_canonical_key_is_least_graph6_string():
     for g in graphs:
         least = min(_graph6_bits(relabel(g, perm)) for perm in permutations(range(g.n)))
         assert canonical_key(g) == (g.n, least)
+
+
+def test_canonical_key_fast_on_large_automorphism_groups():
+    # twins are tried once per search node, so K_n no longer walks n! orderings
+    # (K_10 first: a search without the skip fails on it in seconds)
+    for g in (complete(10), complete(12), complete_bipartite(6, 6), disjoint_copies(complete(4), 3)):
+        start = time.perf_counter()
+        key = canonical_key(g)
+        assert time.perf_counter() - start < 1.0
+        assert key == canonical_key(relabel(g, list(reversed(range(g.n)))))
+    assert canonical_key(complete(12)) == (12, (1 << 66) - 1)
+
+
+def test_canonical_key_relabel_invariant_beyond_oracle_sizes():
+    # n = 11-16, and graphs whose many automorphisms the twin skip collapses
+    rng = random.Random(41)
+    graphs = [random_regular(n, d, rng) for n in range(11, 17) for d in (3, 4) if n * d % 2 == 0]
+    kdd = [complete_bipartite(d, d) for d in range(1, 9)]
+    # (two disjoint Petersen graphs, n = 20, have 28,800 automorphisms and no
+    # twins; the search walks them all, about 16 s, so they are left out)
+    graphs += [petersen()] + kdd
+    graphs += [disjoint_copies(g, 2) for g in kdd] + [disjoint_copies(complete(4), 3)]
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert canonical_key(g) == canonical_key(relabel(g, perm))
+    assert canonical_key(disjoint_copies(complete(4), 3)) != canonical_key(disjoint_copies(complete_bipartite(3, 3), 2))
+
+
+def test_canonicity_test_agrees_with_canonical_key():
+    # the early-exit search accepts a prefix exactly when its own labeling is
+    # the least one that the full search finds
+    rng = random.Random(17)
+    cases = []
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        p = rng.random()
+        cases.append(from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]).rows)
+    for n, d in ((8, 3), (9, 4)):
+        cases += [g.rows for g in regular_family(n, d)]
+    accepted = 0
+    for rows in cases:
+        for m in range(1, len(rows) + 1):
+            prefix = [r & ((1 << m) - 1) for r in rows[:m]]
+            blocks = _blocks(prefix, m)
+            canonical = _is_canonical_prefix(prefix, m, blocks)
+            assert canonical == (canonical_key(Graph(m, tuple(prefix)))[1] == _pack_blocks(blocks))
+            accepted += canonical
+    assert 0 < accepted < sum(len(rows) for rows in cases)
 
 
 def test_enumerate_regular_counts():
@@ -252,11 +304,13 @@ def test_enumerate_regular_deterministic_order():
 def test_enumerate_regular_output_pinned():
     # sha256 of the newline-joined graph6 lines pins the classes and their order
     digests = {
-        (10, 3): "52ebbafa00eae1d2c88fc76ffd82fd586113645f68e461026e4abbda688377ef",
-        (10, 4): "ff85772df96941eaeb657b137369afba2e91780780e85615b41c43515464a94f",
+        (10, 3, True): "52ebbafa00eae1d2c88fc76ffd82fd586113645f68e461026e4abbda688377ef",
+        (10, 4, True): "ff85772df96941eaeb657b137369afba2e91780780e85615b41c43515464a94f",
+        (8, 3, False): "06f7b9ac70b130495a09d0665c6c6acfb50bec8e620dcdb3cfdad4b037d9c2f7",
+        (8, 4, False): "9267a9adba361b52791159c8fc20e4a4cfa7349c475537bb672c93fe5c82d8b7",
     }
-    for (n, d), digest in digests.items():
-        lines = "\n".join(write_graph6(g) for g in regular_family(n, d))
+    for (n, d, connected), digest in digests.items():
+        lines = "\n".join(write_graph6(g) for g in regular_family(n, d, connected))
         assert hashlib.sha256(lines.encode()).hexdigest() == digest
 
 
@@ -278,6 +332,9 @@ def test_enumerate_regular_cap_env_override(monkeypatch):
         enumerate_regular(8, 3)
     monkeypatch.setenv("CHROMA_CAP_N", "14")
     assert len(list(enumerate_regular(8, 3))) == 5
+    monkeypatch.setenv("CHROMA_CAP_N", "abc")
+    with pytest.raises(InvalidParameterError, match="CHROMA_CAP_N must be an integer, got 'abc'"):
+        enumerate_regular(8, 3)
 
 
 def test_random_regular_helper_is_regular():
