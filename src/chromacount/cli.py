@@ -482,12 +482,15 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # bad arguments and malformed input: graph6, JSON of a hom target or of a
-    # records store, bytes that do not decode
+    # records store, bytes that do not decode, a path that cannot be opened
     except (
         InvalidParameterError,
         Graph6ParseError,
         UnsupportedSizeError,
         FileNotFoundError,
+        IsADirectoryError,
+        NotADirectoryError,
+        PermissionError,
         json.JSONDecodeError,
         UnicodeDecodeError,
     ) as exc:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import CapExceededError, InvalidParameterError
-from .graphs import Graph, TargetGraph, complete_target, components
+from .graphs import Graph, TargetGraph, complete_target, components, vertices_of
 
 DEFAULT_POLY_CAP = 14
 # Live states allowed in one step of either frontier pass; a step holds two
@@ -34,23 +34,19 @@ DEFAULT_STATE_CAP = 1_000_000
 
 def _bfs_order(g: Graph) -> tuple[list[int], list[int]]:
     # the vertex order of every pass and each vertex's position in it: BFS
-    # from vertex 0, restarting at the smallest unvisited vertex
+    # from vertex 0, restarting at the smallest unvisited vertex, each
+    # vertex's new neighbours queued in increasing order
     order: list[int] = []
-    seen = [False] * g.n
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            order.append(u)
-            for v in g.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
+    unseen = (1 << g.n) - 1
+    while unseen:
+        start = unseen & -unseen
+        unseen ^= start
+        queue = [start.bit_length() - 1]
+        for u in queue:  # the loop reaches the vertices queued on the way
+            fresh = g.rows[u] & unseen
+            unseen ^= fresh
+            queue += vertices_of(fresh)
+        order += queue
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
@@ -208,13 +204,15 @@ def count_independent_sets(g: Graph) -> int:
         unplaced &= ~bit
         rows_v = g.rows[v] & unplaced
         nxt: dict[int, int] = {}
+        # each state yields at most two keys
+        near_cap = 2 * len(table) > cap
         for state, w in table.items():
             key = state & ~bit
             nxt[key] = nxt.get(key, 0) + w
             if not state & bit:
                 key = state | rows_v
                 nxt[key] = nxt.get(key, 0) + w
-            if len(nxt) > cap:
+            if near_cap and len(nxt) > cap:
                 raise CapExceededError(f"frontier pass exceeds state cap {cap} at vertex {i + 1} of {n}")
         table = nxt
     return sum(table.values())

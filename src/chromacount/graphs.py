@@ -33,14 +33,28 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 def vertices_of(mask: int) -> list[int]:
     """Unpack a bit mask into a sorted list of vertex indices."""
+    if mask < 0:
+        raise InvalidParameterError(f"vertex mask must be non-negative, got {mask}")
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
+
+
+def _check_symmetric(rows: Sequence[int]) -> None:
+    # every set bit (v, u) needs its mirror (u, v); only on failure are the
+    # pairs scanned in order, to name the first asymmetric one
+    for v, row in enumerate(rows):
+        bit = 1 << v
+        while row:
+            low = row & -row
+            if not rows[low.bit_length() - 1] & bit:
+                n = len(rows)
+                a, b = next((a, b) for a in range(n) for b in range(a + 1, n) if ((rows[a] >> b) & 1) != ((rows[b] >> a) & 1))
+                raise InvalidParameterError(f"adjacency not symmetric at ({a},{b})")
+            row ^= low
 
 
 @dataclass(frozen=True)
@@ -62,11 +76,7 @@ class Graph:
                 raise InvalidParameterError(f"adjacency bits of vertex {v} out of range")
             if (row >> v) & 1:
                 raise InvalidParameterError(f"loop at vertex {v} not allowed")
-        for u in range(self.n):
-            ru = self.rows[u]
-            for v in range(u + 1, self.n):
-                if ((ru >> v) & 1) != ((self.rows[v] >> u) & 1):
-                    raise InvalidParameterError(f"adjacency not symmetric at ({u},{v})")
+        _check_symmetric(self.rows)
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
@@ -79,16 +89,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v in lexicographic order."""
-        out = []
-        for u in range(self.n):
-            ru = self.rows[u] >> (u + 1)
-            v = u + 1
-            while ru:
-                if ru & 1:
-                    out.append((u, v))
-                ru >>= 1
-                v += 1
-        return out
+        return [(u, v) for u, row in enumerate(self.rows) for v in vertices_of(row >> (u + 1) << (u + 1))]
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
@@ -111,10 +112,7 @@ class TargetGraph:
         for v, row in enumerate(self.rows):
             if row & ~full:
                 raise InvalidParameterError(f"adjacency bits of vertex {v} out of range")
-        for u in range(self.k):
-            for v in range(u + 1, self.k):
-                if ((self.rows[u] >> v) & 1) != ((self.rows[v] >> u) & 1):
-                    raise InvalidParameterError(f"adjacency not symmetric at ({u},{v})")
+        _check_symmetric(self.rows)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
@@ -217,18 +215,7 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     inv = [0] * g.n
     for new, old in enumerate(perm):
         inv[old] = new
-    rows = [0] * g.n
-    for new, old in enumerate(perm):
-        r = g.rows[old]
-        nr = 0
-        v = 0
-        while r:
-            if r & 1:
-                nr |= 1 << inv[v]
-            r >>= 1
-            v += 1
-        rows[new] = nr
-    return Graph(g.n, tuple(rows))
+    return Graph(g.n, tuple(mask_of(inv[v] for v in vertices_of(g.rows[old])) for old in perm))
 
 
 @dataclass(frozen=True)
@@ -290,19 +277,21 @@ def induced_subgraph(g: Graph, s: int) -> Graph:
         raise InvalidParameterError("vertex mask out of range")
     verts = vertices_of(s)
     index = {v: i for i, v in enumerate(verts)}
-    rows = []
-    for v in verts:
-        r = g.rows[v] & s
-        nr = 0
-        for w in vertices_of(r):
-            nr |= 1 << index[w]
-        rows.append(nr)
-    return Graph(len(verts), tuple(rows))
+    rows = tuple(mask_of(index[w] for w in vertices_of(g.rows[v] & s)) for v in verts)
+    return Graph(len(verts), rows)
 
 
 # ---------------------------------------------------------------------------
 # graph6 serialization (single size byte, 1 <= n <= 62)
 # ---------------------------------------------------------------------------
+
+# Bit p of the graph6 bit stream is bit p of one int, `acc`: column j of the
+# upper triangle is then rows[j] & ((1 << j) - 1) at bit j(j-1)/2.  A record
+# byte holds six stream bits, the first most significant, so each 6-bit group
+# of `acc` maps to its byte through a bit reversal.
+_REVERSE6 = [int(f"{v:06b}"[::-1], 2) for v in range(64)]
+_GROUP_CHAR = [chr(r + 63) for r in _REVERSE6]
+
 
 def write_graph6(g: Graph) -> str:
     """Serialize to one graph6 record: size byte n+63, then the upper
@@ -312,22 +301,12 @@ def write_graph6(g: Graph) -> str:
         raise InvalidParameterError("cannot serialize a graph with no vertices")
     if g.n > 62:
         raise UnsupportedSizeError(f"graph6 single size byte supports n <= 62, got n={g.n}")
-    chars = [chr(g.n + 63)]
     acc = 0
-    nbits = 0
+    start = 0
     for j in range(1, g.n):
-        rj = g.rows[j]
-        for i in range(j):
-            acc = (acc << 1) | ((rj >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                chars.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        chars.append(chr(acc + 63))
-    return "".join(chars)
+        acc |= (g.rows[j] & ((1 << j) - 1)) << start
+        start += j
+    return chr(g.n + 63) + "".join(_GROUP_CHAR[(acc >> p) & 63] for p in range(0, start, 6))
 
 
 def parse_graph6(data: bytes | str) -> Graph:
@@ -359,23 +338,23 @@ def parse_graph6(data: bytes | str) -> Graph:
         raise Graph6ParseError(f"truncated adjacency bits (need {need} bytes, got {body})", len(raw))
     if body > need:
         raise Graph6ParseError("trailing bytes after adjacency bits", 1 + need)
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    rows = [0] * n
-    k = 0
+    acc = 0
     for bi in range(need):
         byte = raw[1 + bi]
         if not 63 <= byte <= 126:
             raise Graph6ParseError(f"adjacency byte {byte} out of range", 1 + bi)
-        val = byte - 63
-        for t in range(5, -1, -1):
-            if k < nbits and (val >> t) & 1:
-                i, j = pairs[k]
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
-    pad = 6 * need - nbits
-    if (raw[-1] - 63) & ((1 << pad) - 1):
+        acc |= _REVERSE6[byte - 63] << (6 * bi)
+    if acc >> nbits:
         raise Graph6ParseError("nonzero padding bits in last byte", need)
+    rows = [0] * n
+    for j in range(1, n):
+        rows[j] = col = acc & ((1 << j) - 1)
+        acc >>= j
+        bit = 1 << j
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= bit
+            col ^= low
     return Graph(n, tuple(rows))
 
 

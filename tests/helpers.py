@@ -10,6 +10,7 @@ from itertools import combinations, product
 
 from chromacount import (
     Graph,
+    Graph6ParseError,
     TargetGraph,
     complete,
     complete_bipartite,
@@ -129,6 +130,93 @@ def brute_compatible_proper(g: Graph, q: int, d_sets: list[int]) -> int:
         ):
             total += 1
     return total
+
+
+def reference_write_graph6(g: Graph) -> str:
+    """graph6 record of g (1 <= n <= 62), one adjacency bit at a time."""
+    chars = [chr(g.n + 63)]
+    acc = 0
+    nbits = 0
+    for j in range(1, g.n):
+        for i in range(j):
+            acc = (acc << 1) | ((g.rows[j] >> i) & 1)
+            nbits += 1
+            if nbits == 6:
+                chars.append(chr(acc + 63))
+                acc = 0
+                nbits = 0
+    if nbits:
+        chars.append(chr((acc << (6 - nbits)) + 63))
+    return "".join(chars)
+
+
+def reference_parse_graph6(data: bytes | str) -> Graph:
+    """Parse one graph6 record one adjacency bit at a time, raising the
+    library's Graph6ParseError with the library's messages and offsets."""
+    if isinstance(data, str):
+        try:
+            raw = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise Graph6ParseError("non-ASCII byte", exc.start) from None
+    else:
+        raw = bytes(data)
+    while raw.endswith((b"\n", b"\r")):
+        raw = raw[:-1]
+    if not raw:
+        raise Graph6ParseError("empty input", 0)
+    b0 = raw[0]
+    if not 63 <= b0 <= 126:
+        raise Graph6ParseError(f"size byte {b0} out of range", 0)
+    n = b0 - 63
+    if n == 0:
+        raise Graph6ParseError("zero-vertex graph rejected (require n >= 1)", 0)
+    if n > 62:
+        raise Graph6ParseError("multi-byte size encodings (n > 62) not supported", 0)
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    body = len(raw) - 1
+    if body < need:
+        raise Graph6ParseError(f"truncated adjacency bits (need {need} bytes, got {body})", len(raw))
+    if body > need:
+        raise Graph6ParseError("trailing bytes after adjacency bits", 1 + need)
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    rows = [0] * n
+    k = 0
+    for bi in range(need):
+        byte = raw[1 + bi]
+        if not 63 <= byte <= 126:
+            raise Graph6ParseError(f"adjacency byte {byte} out of range", 1 + bi)
+        for t in range(5, -1, -1):
+            if k < nbits and ((byte - 63) >> t) & 1:
+                i, j = pairs[k]
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            k += 1
+    if (raw[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
+        raise Graph6ParseError("nonzero padding bits in last byte", need)
+    return Graph(n, tuple(rows))
+
+
+def reference_bfs_order(g: Graph) -> list[int]:
+    """BFS from vertex 0 over a list queue, restarting at the smallest
+    unvisited vertex and visiting neighbours in increasing order."""
+    order = []
+    seen = [False] * g.n
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        queue = [s]
+        qi = 0
+        while qi < len(queue):
+            u = queue[qi]
+            qi += 1
+            order.append(u)
+            for v in range(g.n):
+                if g.has_edge(u, v) and not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
+    return order
 
 
 # ---------------------------------------------------------------------------

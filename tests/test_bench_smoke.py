@@ -33,3 +33,13 @@ def test_bench_tiny_run_is_correct(workload, trace):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0
+
+
+def test_traced_names_resolve(monkeypatch):
+    # a module that stops importing a wrapped name breaks --trace 1 with an
+    # AttributeError; this finds it without running a workload
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import tracing
+
+    for owner, attr, _ in tracing.WRAPPED + tracing.GENERATORS:
+        assert callable(getattr(owner, attr, None)), (owner, attr)

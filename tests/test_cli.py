@@ -415,6 +415,43 @@ MALFORMED_INPUTS = {
 }
 
 
+UNOPENABLE_PATH_ARGVS = {
+    "verify-graphs": lambda bad, g6: ["verify", "--graphs", bad, "--q", "3"],
+    "verify-out": lambda bad, g6: ["verify", "--graphs", g6, "--q", "3", "--out", bad],
+    "verify-hom-target": _hom_argv,
+    "scan-records": lambda bad, g6: ["scan", "--n", "4", "--d", "3", "--q", "3", "--records", bad],
+    "bounds-graphs": lambda bad, g6: ["bounds", "--n", "4", "--d", "3", "--q", "3", "--graphs", bad],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNOPENABLE_PATH_ARGVS))
+def test_unopenable_path_exits_usage(tmp_path, capsys, monkeypatch, case):
+    g6 = write_g6(tmp_path, "g.g6", [complete(4)])
+    argv = UNOPENABLE_PATH_ARGVS[case]
+    # a directory, and a path through a regular file
+    for bad, message in ((str(tmp_path), "Is a directory"), (g6 + "/x", "Not a directory")):
+        code = main(argv(bad, g6))
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == "", bad
+        assert captured.err.startswith("error: ") and message in captured.err, bad
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    # root may open any file, so opening this existing one raises in place
+    denied = tmp_path / "denied"
+    denied.write_text("{}")
+    real_open = open
+
+    def deny(path, *args, **kwargs):
+        if path == str(denied):
+            raise PermissionError(13, "Permission denied", path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", deny)
+    code = main(argv(str(denied), g6))
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err == f"error: [Errno 13] Permission denied: '{denied}'\n"
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_exits_usage(tmp_path, capsys, case):
     name, data, argv = MALFORMED_INPUTS[case]
@@ -439,10 +476,12 @@ def test_verify_over_state_cap_exits_cap(tmp_path, capsys, monkeypatch):
     assert len(captured.err.splitlines()) == 1 and "state cap" in captured.err
 
 
-def test_verify_classifies_each_graph_once(tmp_path, capsys, monkeypatch):
+def test_verify_makes_no_classify_call(tmp_path, capsys, monkeypatch):
     import chromacount.cli as cli
     import chromacount.verdicts as verdicts
 
+    # the verdicts read the degree from the rows; bipartiteness and
+    # components are never needed
     calls = []
     for module in (cli, verdicts):
         monkeypatch.setattr(module, "classify", lambda g, real=module.classify: calls.append(g) or real(g))
@@ -454,10 +493,9 @@ def test_verify_classifies_each_graph_once(tmp_path, capsys, monkeypatch):
     ]
     skipped.sort(key=lambda r: r["graph6"])  # the report's order
     for target in (["--q", "3"], ["--target", "indsets"]):
-        calls.clear()
         code, out = run(capsys, ["verify", "--graphs", path] + target)
         assert code == EXIT_OK
-        assert len(calls) == len(graphs)
+        assert calls == []
         assert [r for r in json_lines(out) if r["type"] == "skipped"] == skipped
     code, _ = run(capsys, ["verify", "--graphs", path, "--q", "-1"])
     assert code == EXIT_USAGE

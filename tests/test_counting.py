@@ -1,4 +1,5 @@
 import hashlib
+import random
 from math import comb
 
 import pytest
@@ -37,6 +38,8 @@ from helpers import (
     interpolate_int_polynomial,
     petersen,
     poly_product,
+    random_regular,
+    reference_bfs_order,
     regular_family,
     small_corpus,
 )
@@ -265,6 +268,42 @@ def test_independent_set_memo_cap(monkeypatch):
     assert count_independent_sets(complete_bipartite(20, 20)) == 2**21 - 1
     with pytest.raises(CapExceededError, match="state cap 3"):
         count_independent_sets(petersen())
+
+
+def test_independent_set_cap_raises_at_same_vertex(monkeypatch):
+    import chromacount.counting as counting
+
+    # the vertex named for each cap 1, 2, ...: the first step whose table
+    # holds more than cap states; None once the graph fits
+    expected = {
+        petersen(): [1, 2, 3, 3, 4, 4, 4, 5, 5, 5] + [None] * 29,
+        random_regular(16, 4, random.Random(5)): (
+            [1, 2, 3, 3, 4, 4, 5, 5, 5, 5, 6, 6, 6, 7, 7, 7, 7, 7, 8, 8, 8] + [9] * 6 + [None] * 12
+        ),
+    }
+    for g, vertices in expected.items():
+        for cap, vertex in enumerate(vertices, 1):
+            monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", cap)
+            if vertex is None:
+                count_independent_sets(g)
+                continue
+            with pytest.raises(CapExceededError) as exc:
+                count_independent_sets(g)
+            assert str(exc.value) == f"frontier pass exceeds state cap {cap} at vertex {vertex} of {g.n}"
+
+
+def test_bfs_order_matches_list_queue_reference():
+    from chromacount.counting import _bfs_order
+
+    rng = random.Random(12)
+    graphs = [complete(1), complete(5), cycle(7), petersen(), disjoint_copies(complete_bipartite(2, 3), 3)]
+    graphs += [from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+               for n in range(1, 40) for p in (0.05, 0.2, 0.5)]
+    graphs += [random_regular(n, d, rng) for n, d in ((20, 3), (30, 4), (62, 5))]
+    for g in graphs:
+        order, pos = _bfs_order(g)
+        assert order == reference_bfs_order(g)
+        assert [pos[v] for v in order] == list(range(g.n))
 
 
 def test_count_independent_sets_examples():

@@ -10,6 +10,7 @@ from chromacount import (
     Graph,
     Graph6ParseError,
     InvalidParameterError,
+    TargetGraph,
     UnsupportedSizeError,
     canonical_key,
     classify,
@@ -25,12 +26,20 @@ from chromacount import (
     mask_of,
     parse_graph6,
     relabel,
+    vertices_of,
     write_graph6,
 )
 from chromacount import count_homomorphisms
 from chromacount.graphs import _blocks, _is_canonical_prefix, _pack_blocks, components
 
-from helpers import k4_minus_edge, petersen, random_regular, regular_family
+from helpers import (
+    k4_minus_edge,
+    petersen,
+    random_regular,
+    reference_parse_graph6,
+    reference_write_graph6,
+    regular_family,
+)
 
 
 def test_standard_constructors():
@@ -66,6 +75,31 @@ def test_graph_invariants_enforced():
         Graph(2, (0b01, 0b10))  # loop at 0
     with pytest.raises(InvalidParameterError):
         Graph(1, (0b10,))  # bit out of range
+
+
+def test_asymmetric_adjacency_names_first_pair():
+    # the first asymmetric pair (u, v), u < v, in lexicographic order: the
+    # first set bit without a mirror is (1, 3) and the first pair (0, 2);
+    # then (1, 2) comes before (0, 3) column by column, but not row by row
+    for rows, pair in (((0, 1 << 3, 1 << 0, 0), "(0,2)"), ((1 << 3, 0, 1 << 1, 0), "(0,3)")):
+        for make in (Graph, TargetGraph):
+            with pytest.raises(InvalidParameterError) as exc:
+                make(4, rows)
+            assert str(exc.value) == f"adjacency not symmetric at {pair}"
+    with pytest.raises(InvalidParameterError, match=r"^adjacency not symmetric at \(0,1\)$"):
+        Graph(2, (0b10, 0b00))
+    # a loop of a target is its own mirror
+    assert TargetGraph(2, (0b11, 0b01)).has_loop(0)
+
+
+def test_vertices_of():
+    assert vertices_of(0) == []
+    assert vertices_of(0b101001) == [0, 3, 5]
+    assert vertices_of(1 << 200 | 1 << 61) == [61, 200]
+    with pytest.raises(InvalidParameterError, match="non-negative"):
+        vertices_of(-1)  # -1 >> 1 == -1, so shifting never empties it
+    with pytest.raises(InvalidParameterError):
+        vertices_of(-6)
 
 
 def test_classify():
@@ -121,18 +155,64 @@ def test_graph6_size_limit():
         write_graph6(big)
 
 
+def _random_graph(n: int, p: float, rng: random.Random) -> Graph:
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
+
+
 def test_graph6_random_roundtrip():
     rng = random.Random(7)
-    for _ in range(100):
-        n = rng.randint(1, 12)
-        rows = [0] * n
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < 0.4:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-        g = Graph(n, tuple(rows))
+    for _ in range(300):
+        g = _random_graph(rng.randint(1, 62), 0.4, rng)
         assert parse_graph6(write_graph6(g)) == g
+
+
+def test_graph6_codec_matches_bitwise_reference():
+    # every n the single size byte allows, at several densities, with
+    # disconnected graphs (a sparse graph, two halves) and both extremes
+    rng = random.Random(10)
+    for n in range(1, 63):
+        graphs = [Graph(n, (0,) * n), complete(n) if n > 1 else Graph(1, (0,))]
+        graphs += [_random_graph(n, p, rng) for p in (0.05, 0.3, 0.5, 0.9)]
+        if n > 1:
+            half = n // 2
+            graphs.append(disjoint_union(_random_graph(half, 0.6, rng), _random_graph(n - half, 0.6, rng)))
+        for g in graphs:
+            record = write_graph6(g)
+            assert record == reference_write_graph6(g)
+            assert parse_graph6(record) == reference_parse_graph6(record) == g
+            assert parse_graph6(record.encode() + b"\r\n") == g
+
+
+def _parse_outcome(parse, record):
+    try:
+        return parse(record)
+    except Graph6ParseError as exc:
+        return (type(exc), exc.message, exc.offset, str(exc))
+
+
+def test_graph6_malformed_matches_bitwise_reference():
+    j = write_graph6(_random_graph(10, 0.5, random.Random(3)))  # n = 10: 8 body bytes
+    records = ["", "\n", ">", "\x7f~", "?", "~" + "?" * 400, "C", "I~~~", "I" + j[1:-1], "C~~", "@?", j + "?"]
+    # out-of-range adjacency bytes at several positions, one or two at a time
+    for pos in (1, 2, 5, 8):
+        for bad in ("\x14", "\x7f", " "):
+            records.append(j[:pos] + bad + j[pos + 1:])
+    records.append(j[:2] + "\x14" + j[3:6] + "\x7f" + j[7:])
+    # nonzero padding: n = 5 leaves 2 padding bits, n = 10 leaves 3, n = 62 leaves 5
+    g62 = write_graph6(_random_graph(62, 0.5, random.Random(4)))
+    records += ["D?A", "D?@", "D\x14A", j[:-1] + chr((ord(j[-1]) - 63 | 1) + 63), g62[:-1] + chr((ord(g62[-1]) - 63 | 16) + 63)]
+    records += [g62[:-1] + "\x7f", "C\xe9", "C~\xe9"]
+    for record in records:
+        for data in (record, record.encode("latin-1")):
+            outcome = _parse_outcome(parse_graph6, data)
+            assert isinstance(outcome, tuple), record
+            assert outcome == _parse_outcome(reference_parse_graph6, data), record
 
 
 def test_induced_subgraph():
