@@ -13,6 +13,7 @@ import io
 import json
 import math
 import multiprocessing
+import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -117,6 +118,16 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _check_writable(path: str) -> None:
+    """Raise now the OSError that writing `path` after the work would raise.
+    Append mode truncates nothing, and a file made here is removed again."""
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -324,6 +335,7 @@ def cmd_certificate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_scan(args) -> int:
+    store = RecordStore(args.records, __version__) if args.records else None
     if args.source == "gen":
         family = list(enumerate_regular(args.n, args.d))
     else:
@@ -350,8 +362,7 @@ def cmd_scan(args) -> int:
             "argmax": result.argmax,
         }
     )
-    if args.records:
-        store = RecordStore(args.records, __version__)
+    if store is not None:
         improved = store.update(n_val, d_val, args.q, str(result.eps), result.max_count, result.argmax)
         store.save()
         records[-1]["record_improved"] = improved
@@ -480,6 +491,10 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        # the report and the records store: a bad path exits before the work
+        for path in (args.out, getattr(args, "records", None)):
+            if path:
+                _check_writable(path)
         return args.func(args)
     # bad arguments and malformed input: graph6, JSON of a hom target or of a
     # records store, bytes that do not decode, a path that cannot be opened

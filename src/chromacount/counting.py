@@ -23,7 +23,6 @@ from typing import Sequence
 from .errors import CapExceededError, InvalidParameterError
 from .graphs import Graph, TargetGraph, complete_target, components, vertices_of
 
-DEFAULT_POLY_CAP = 14
 # Live states allowed in one step of either frontier pass; a step holds two
 # tables.  When CapExceededError was raised (Python 3.11), over-cap colouring
 # inputs (random cubic graphs, n = 40 at q = 4 and n = 60 at q = 5) had
@@ -57,8 +56,7 @@ def count_colorings(g: Graph, q: int, method: str = "frontier") -> int:
     """Number of functions V -> {1..q} with adjacent vertices mapped to
     different values.  `method` selects the frontier pass, homomorphism
     backtracking into K_q (one leaf per coloring) or the chromatic polynomial
-    evaluated at q (capped at n <= DEFAULT_POLY_CAP); all are exact and must
-    agree."""
+    evaluated at q; all are exact and must agree."""
     if q < 0:
         raise InvalidParameterError("q must be non-negative")
     if method == "frontier":
@@ -86,8 +84,11 @@ def _count_frontier(g: Graph, q: int) -> int:
     holding none of its neighbours, or opens a new class in one of the q - b
     colours that the b frontier classes leave free; with b = q there is none,
     so no state has more than q classes.  More than DEFAULT_STATE_CAP live
-    states raise CapExceededError."""
-    cap = DEFAULT_STATE_CAP
+    states raise CapExceededError.  A state's weight, a number of colourings
+    of the placed vertices, grows with the bit length of q, so above 64 bits
+    the cap shrinks in proportion; this bounds the memory of the chromatic
+    polynomial's pass at q = 2**(m + 2)."""
+    cap = DEFAULT_STATE_CAP * 64 // max(64, q.bit_length())
     n = g.n
     order, pos = _bfs_order(g)
     # a vertex stays on the frontier until its last neighbour is placed
@@ -126,9 +127,8 @@ def chromatic_polynomial(g: Graph) -> tuple[int, ...]:
     One frontier pass at q = B = 2**(m + 2) for m edges, read off as balanced
     base-B digits (Kronecker substitution).  By Whitney's broken-circuit
     theorem the coefficient of q**(n - i) is at most C(m, i) < B/2 in
-    absolute value, so each digit is one coefficient."""
-    if g.n > DEFAULT_POLY_CAP:
-        raise CapExceededError(f"n={g.n} exceeds polynomial cap {DEFAULT_POLY_CAP}")
+    absolute value, so each digit is one coefficient.  The pass's state cap,
+    scaled down for m > 61, bounds the work and the memory at any n."""
     shift = g.edge_count() + 2
     base = 1 << shift
     value = _count_frontier(g, base)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable
 
@@ -74,13 +75,20 @@ def conjecture_verdict(g: Graph, q: int) -> Verdict:
     return Verdict(write_graph6(g), f"colorings q={q}", (cmp,), cmp.holds, cmp.equality, cmp.slack_log2)
 
 
+@lru_cache(maxsize=None)
+def _hom_references(d: int, h: TargetGraph) -> tuple[int, int]:
+    # hom(K_{d,d}, H) and hom(K_{d+1}, H): one computation per (d, H) and process
+    return count_homomorphisms(complete_bipartite(d, d), h), count_homomorphisms(complete(d + 1), h)
+
+
 def hom_conjecture_verdict(g: Graph, h: TargetGraph) -> Verdict:
     """Exact check of hom(G,H) against the maximum of hom(K_{d,d},H)^(n/2d)
     and hom(K_{d+1},H)^(n/(d+1)); holds when either cleared comparison does."""
     d = _regular_degree(g)
     lhs = count_homomorphisms(g, h)
-    kdd_side = _compare_powers(lhs, 2 * d, count_homomorphisms(complete_bipartite(d, d), h), g.n)
-    clique_side = _compare_powers(lhs, d + 1, count_homomorphisms(complete(d + 1), h), g.n)
+    kdd_hom, clique_hom = _hom_references(d, h)
+    kdd_side = _compare_powers(lhs, 2 * d, kdd_hom, g.n)
+    clique_side = _compare_powers(lhs, d + 1, clique_hom, g.n)
     holds = kdd_side.holds or clique_side.holds
     equality = (kdd_side.holds and kdd_side.equality) or (clique_side.holds and clique_side.equality)
     slack = max(kdd_side.slack_log2, clique_side.slack_log2)

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,7 @@ import pytest
 from chromacount import complete, complete_bipartite, cycle, disjoint_copies, write_graph6
 from chromacount.cli import EXIT_CAP, EXIT_CROSSCHECK, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
-from helpers import k4_minus_edge, petersen, regular_family
+from helpers import k4_minus_edge, petersen, random_regular, regular_family
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -87,12 +88,32 @@ def test_count_method_both_cross_checks(tmp_path, capsys, monkeypatch):
     assert json_lines(out)[0]["cross_check"] == "mismatch"
 
 
-def test_count_cap(tmp_path, capsys):
+def test_count_cap(tmp_path, capsys, monkeypatch):
+    import chromacount.counting as counting
     from chromacount.graphs import Graph
 
+    # no cap on n: an edgeless graph has q^n colourings
     path = write_g6(tmp_path, "big.g6", [Graph(16, (0,) * 16)])
-    code, _ = run(capsys, ["count", "--graph", path, "--q", "3", "--method", "polynomial"])
-    assert code == EXIT_CAP
+    code, out = run(capsys, ["count", "--graph", path, "--q", "3", "--method", "polynomial"])
+    assert code == EXIT_OK and json_lines(out)[0]["value"] == str(3**16)
+    # the frontier state cap guards the polynomial
+    monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", 3)
+    path = write_g6(tmp_path, "k33.g6", [complete_bipartite(3, 3)])
+    code = main(["count", "--graph", path, "--q", "3", "--method", "polynomial"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CAP and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "state cap 3 " in captured.err
+
+
+def test_count_both_beyond_former_n_cap(tmp_path, capsys):
+    graphs = [random_regular(n, 3, random.Random(seed)) for n in (20, 24) for seed in (1, 2)]
+    graphs += [complete_bipartite(8, 8), disjoint_copies(petersen(), 2)]
+    path = write_g6(tmp_path, "g.g6", graphs)
+    code, out = run(capsys, ["count", "--graph", path, "--q", "3", "--method", "both"])
+    assert code == EXIT_OK
+    recs = json_lines(out)
+    assert [r["n"] for r in recs] == [g.n for g in graphs]
+    assert all(r["cross_check"] == "ok" and r["value"] == r["polynomial_value"] for r in recs)
 
 
 def test_verify_cubic_corpus(tmp_path, capsys):
@@ -133,6 +154,30 @@ def test_verify_hom_target(tmp_path, capsys):
     code, out = run(capsys, ["verify", "--graphs", path, "--target", f"hom:{hfile}"])
     assert code == EXIT_OK
     assert json_lines(out)[-1]["failures"] == 0
+
+
+def test_verify_hom_computes_each_reference_once(tmp_path, capsys, monkeypatch):
+    import chromacount.verdicts as verdicts
+
+    hfile = tmp_path / "h.json"
+    hfile.write_text(json.dumps({"k": 3, "edges": [[0, 1], [1, 2], [1, 1]]}))
+    graphs = list(regular_family(8, 3)) + list(regular_family(10, 3)) + list(regular_family(7, 4))
+    path = write_g6(tmp_path, "g.g6", graphs)
+    argv = ["verify", "--graphs", path, "--target", f"hom:{hfile}"]
+    calls = []
+    real = verdicts.count_homomorphisms
+    monkeypatch.setattr(verdicts, "count_homomorphisms", lambda g, h: calls.append(write_graph6(g)) or real(g, h))
+    verdicts._hom_references.cache_clear()
+    code, out = run(capsys, argv)
+    assert code == EXIT_OK
+    references = [complete_bipartite(3, 3), complete(4), complete_bipartite(4, 4), complete(5)]
+    assert len(calls) == len(graphs) + len(references)
+    assert all(write_graph6(ref) in calls for ref in references)
+    # the same report when every verdict computes its references afresh
+    monkeypatch.setattr(verdicts, "_hom_references", verdicts._hom_references.__wrapped__)
+    calls.clear()
+    assert run(capsys, argv) == (EXIT_OK, out)
+    assert len(calls) == 3 * len(graphs)
 
 
 def test_verify_failure_writes_counterexample_bundle(tmp_path, capsys, monkeypatch):
@@ -450,6 +495,68 @@ def test_unopenable_path_exits_usage(tmp_path, capsys, monkeypatch, case):
     captured = capsys.readouterr()
     assert code == EXIT_USAGE and captured.out == ""
     assert captured.err == f"error: [Errno 13] Permission denied: '{denied}'\n"
+
+
+BAD_OUTPUT_ARGVS = {
+    "count-out": lambda bad, g6: ["count", "--graph", g6, "--q", "3", "--method", "both", "--out", bad],
+    "verify-out": lambda bad, g6: ["verify", "--graphs", g6, "--q", "3", "--out", bad],
+    "verify-jobs-out": lambda bad, g6: ["verify", "--graphs", g6, "--target", "indsets", "--jobs", "2", "--out", bad],
+    "certificate-out": lambda bad, g6: ["certificate", "--graph", g6, "--q", "3", "--out", bad],
+    "scan-out": lambda bad, g6: ["scan", "--n", "6", "--d", "3", "--q", "3", "--out", bad],
+    "scan-records": lambda bad, g6: ["scan", "--n", "6", "--d", "3", "--q", "3", "--records", bad],
+    "bounds-out": lambda bad, g6: ["bounds", "--n", "4", "--d", "3", "--q", "3", "--graphs", g6, "--out", bad],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OUTPUT_ARGVS))
+def test_bad_output_path_exits_before_work(tmp_path, capsys, monkeypatch, case):
+    import chromacount.cli as cli
+    import chromacount.counting as counting
+    import chromacount.verdicts as verdicts
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work started before the output path was checked")
+
+    work = ("count_colorings", "chromatic_polynomial", "count_homomorphisms", "count_independent_sets",
+            "independence_number", "maximum_independent_set", "enumerate_regular", "reference_bound")
+    for module in (cli, counting, verdicts):
+        for name in work:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_work)
+    monkeypatch.setattr(cli.multiprocessing, "Pool", no_work)
+    g6 = write_g6(tmp_path, "g.g6", [complete(4), complete_bipartite(3, 3)])
+    (tmp_path / "dir").mkdir()
+    bad_paths = (
+        (str(tmp_path / "dir"), "Is a directory"),
+        (g6 + "/x", "Not a directory"),
+        (str(tmp_path / "missing" / "x"), "No such file or directory"),
+    )
+    for bad, message in bad_paths:
+        code = main(BAD_OUTPUT_ARGVS[case](bad, g6))
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == "", bad
+        assert captured.err.startswith("error: [Errno ") and captured.err.endswith(f"] {message}: '{bad}'\n")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_failed_run_keeps_existing_report(tmp_path, capsys, monkeypatch):
+    import chromacount.counting as counting
+
+    g6 = write_g6(tmp_path, "k33.g6", [complete_bipartite(3, 3)])
+    report = tmp_path / "report.jsonl"
+    records = tmp_path / "records.json"
+    code, out = run(capsys, ["verify", "--graphs", g6, "--q", "4"])
+    assert code == EXIT_OK
+    assert main(["verify", "--graphs", g6, "--q", "4", "--out", str(report)]) == EXIT_OK
+    assert report.read_text() == out
+    monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", 3)
+    # an existing report is left as it was; a new one is not made
+    for path in (report, tmp_path / "new.jsonl"):
+        assert main(["verify", "--graphs", g6, "--q", "4", "--out", str(path)]) == EXIT_CAP
+    assert main(["scan", "--n", "6", "--d", "3", "--q", "4", "--records", str(records)]) == EXIT_CAP
+    assert capsys.readouterr().out == ""
+    assert report.read_text() == out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k33.g6", "report.jsonl"]
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))

@@ -164,9 +164,48 @@ def test_chromatic_polynomial_shape_invariants():
                 assert (c > 0) == ((g.n - k) % 2 == 0)
 
 
-def test_chromatic_polynomial_cap():
-    with pytest.raises(CapExceededError):
-        chromatic_polynomial(Graph(15, (0,) * 15))
+def test_chromatic_polynomial_cap(monkeypatch):
+    import chromacount.counting as counting
+
+    # no cap on n: an edgeless graph gives q^n at once
+    for n in (15, 40, 62):
+        assert chromatic_polynomial(Graph(n, (0,) * n)) == (0,) * n + (1,)
+    # the frontier state cap alone guards the polynomial: K_{3,3} has m = 9,
+    # so its q = 2**11 keeps the full cap
+    monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", 3)
+    with pytest.raises(CapExceededError, match="^frontier pass exceeds state cap 3 at vertex"):
+        chromatic_polynomial(complete_bipartite(3, 3))
+    # the cap shrinks by q's bit length only above 64 bits
+    monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", 1000)
+    for q, cap in ((2**64 - 1, 1000), (2**64, 984), (2**127, 500)):
+        with pytest.raises(CapExceededError, match=f"^frontier pass exceeds state cap {cap} at"):
+            count_colorings(complete_bipartite(8, 8), q)
+
+
+def test_chromatic_polynomial_beyond_former_n_cap():
+    # graphs with n > 14, which the polynomial refused before the frontier
+    # pass replaced deletion-contraction; backtracking is the oracle
+    graphs = [random_regular(n, 3, random.Random(seed)) for n in (20, 24) for seed in (1, 2)]
+    graphs += [complete_bipartite(8, 8), disjoint_copies(petersen(), 2)]
+    for g in graphs:
+        coeffs = chromatic_polynomial(g)
+        assert len(coeffs) == g.n + 1
+        assert coeffs[-1] == 1 and coeffs[-2] == -g.edge_count()
+        for k, c in enumerate(coeffs):
+            if c:
+                assert (c > 0) == ((g.n - k) % 2 == 0)
+        assert evaluate_polynomial(coeffs, 3) == count_colorings(g, 3, "backtrack")
+
+
+def test_chromatic_polynomial_state_cap_bounds_memory():
+    import chromacount.counting as counting
+
+    # m = 400 edges, so q = 2**402 has 403 bits and the pass's cap is
+    # DEFAULT_STATE_CAP * 64 // 403
+    with pytest.raises(CapExceededError) as exc:
+        chromatic_polynomial(complete_bipartite(20, 20))
+    cap = int(str(exc.value).split("state cap ")[1].split()[0])
+    assert cap == counting.DEFAULT_STATE_CAP * 64 // 403 < counting.DEFAULT_STATE_CAP
 
 
 def test_chromatic_polynomial_petersen_published():
