@@ -15,8 +15,9 @@ import math
 import multiprocessing
 import os
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
+from typing import Iterator
 
 from . import __version__, counting
 from .certificates import build_certificate, explicit_weak_bound, phi, verify_certificate
@@ -54,51 +55,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_text_lines(path: str) -> list[str]:
-    # a byte that is not ASCII is kept (as a lone surrogate), so that
-    # parse_graph6 rejects it with the record's line
+def _records(path: str) -> Iterator[tuple[int, str]]:
+    """The graph6 records of `path` (- for stdin) with their 1-based lines.
+    Blank lines and a bare >>graph6<< header are skipped.  A byte that is not
+    ASCII is kept (as a lone surrogate), so that parse_graph6 rejects it.
+    The file is read now; each pair is made as it is consumed, so a serial
+    run holds no line number past its record."""
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
             text = fh.read()
-    return text.splitlines()
+    stripped = (line.strip().removeprefix(">>graph6<<").strip() for line in text.splitlines())
+    return ((line, record) for line, record in enumerate(stripped, 1) if record)
 
 
-def _graph_lines(text_lines: list[str]) -> list[str]:
-    # the graph6 records: blank lines and a bare >>graph6<< header are skipped
-    lines = []
-    for line in text_lines:
-        line = line.strip()
-        if not line or line.startswith(">>graph6<<"):
-            line = line.removeprefix(">>graph6<<").strip()
-            if not line:
-                continue
-        lines.append(line)
-    return lines
-
-
-@contextmanager
-def _line_numbers(text_lines: list[str]):
-    """Name the 1-based line of a graph6 error raised while the records of
-    `text_lines` are parsed in file order: the first record that fails to
-    parse is then the one that raised, so only the error path numbers lines."""
+def _parse(line: int, record: str) -> Graph:
     try:
-        yield
-    except Graph6ParseError:
-        for number, text in enumerate(text_lines, 1):
-            for line in _graph_lines([text]):
-                try:
-                    parse_graph6(line)
-                except Graph6ParseError as exc:
-                    raise Graph6ParseError(exc.message, exc.offset, number) from None
-        raise
+        return parse_graph6(record)
+    except Graph6ParseError as exc:
+        raise Graph6ParseError(exc.message, exc.offset, line) from None
 
 
 def _read_graphs(path: str) -> list[Graph]:
-    text_lines = _read_text_lines(path)
-    with _line_numbers(text_lines):
-        return [parse_graph6(line) for line in _graph_lines(text_lines)]
+    return [_parse(line, record) for line, record in _records(path)]
 
 
 def _load_target(path: str) -> TargetGraph:
@@ -214,9 +194,9 @@ def _verdict_record(v: Verdict, n: int, d: int, q: int | None) -> dict:
     }
 
 
-def _verify_one(task) -> dict:
-    line, q, target, h = task
-    g = parse_graph6(line)
+def _verify_one(numbered: tuple[int, str], q: int | None, target: str, h: TargetGraph | None) -> dict:
+    line, record = numbered
+    g = _parse(line, record)
     try:
         if target == "colorings":
             v = conjecture_verdict(g, q)
@@ -225,14 +205,13 @@ def _verify_one(task) -> dict:
         else:
             v = hom_conjecture_verdict(g, h)
     except NotRegularError:
-        return {"type": "skipped", "graph6": line, "n": g.n, "reason": "not regular with d >= 2"}
+        return {"type": "skipped", "graph6": record, "n": g.n, "reason": "not regular with d >= 2"}
     # the verdict has checked that g is regular, so vertex 0 has degree d
     return _verdict_record(v, g.n, g.degree(0), q if target == "colorings" else None)
 
 
 def cmd_verify(args) -> int:
-    text_lines = _read_text_lines(args.graphs)
-    lines = _graph_lines(text_lines)
+    records = _records(args.graphs)
     target = args.target
     h = None
     if target.startswith("hom:"):
@@ -240,21 +219,23 @@ def cmd_verify(args) -> int:
         target = "hom"
     elif target not in ("colorings", "indsets"):
         raise InvalidParameterError(f"unknown target {target!r}")
-    if target == "colorings" and args.q is None:
-        raise InvalidParameterError("--q is required for --target colorings")
+    if target == "colorings":
+        if args.q is None:
+            raise InvalidParameterError("--q is required for --target colorings")
+        if args.q < 0:
+            raise InvalidParameterError("q must be non-negative")
 
-    tasks = [(line, args.q, target, h) for line in lines]
-    with _line_numbers(text_lines):
-        if args.jobs > 1 and len(tasks) > 1:
-            # a Graph6ParseError raised in a worker does not survive pickling,
-            # and pool.map reports whichever failure arrives first: parse every
-            # line here, in input order, before any worker starts
-            for line in lines:
-                parse_graph6(line)
-            with multiprocessing.Pool(args.jobs) as pool:
-                results = pool.map(_verify_one, tasks)
-        else:
-            results = [_verify_one(t) for t in tasks]
+    # one ordered map for every --jobs: the first failing record in file
+    # order raises, wherever it ran
+    verify = partial(_verify_one, q=args.q, target=target, h=h)
+    if args.jobs > 1:
+        # the chunk size, computed as Pool.map computes it, needs the count
+        records = list(records)
+    if args.jobs > 1 and len(records) > 1:
+        with multiprocessing.Pool(args.jobs) as pool:
+            results = list(pool.imap(verify, records, chunksize=-(-len(records) // (4 * args.jobs))))
+    else:
+        results = list(map(verify, records))
     results.sort(key=lambda r: r["graph6"])
 
     failures = [r for r in results if r["type"] == "verdict" and not r["holds"]]

@@ -11,13 +11,18 @@ class NotRegularError(InvalidParameterError):
 
 class Graph6ParseError(ValueError):
     """Malformed graph6 input; ``offset`` is the first offending byte of the
-    record.  Given ``line``, the message names the record's 1-based line."""
+    record.  Given ``line``, the message names the record's 1-based line.
+    The error pickles, so it crosses from a worker process unchanged."""
 
     def __init__(self, message: str, offset: int, line: int | None = None):
         where = "" if line is None else f"line {line}: "
         super().__init__(f"{where}{message} (byte offset {offset})")
         self.message = message
         self.offset = offset
+        self.line = line
+
+    def __reduce__(self):
+        return type(self), (self.message, self.offset, self.line)
 
 
 class UnsupportedSizeError(ValueError):

@@ -45,12 +45,13 @@ def surjections(n: int, k: int) -> int:
 
 def count_colorings_kdd(d: int, q: int) -> int:
     """Exact number of proper q-colorings of K_{d,d}:
-    sum_{a=1}^{q} C(q,a) * Surj(d,a) * (q-a)^d."""
+    sum_{a=1}^{min(d,q)} C(q,a) * Surj(d,a) * (q-a)^d, since Surj(d,a) = 0
+    for a > d."""
     if d < 1:
         raise InvalidParameterError("d must be at least 1")
     if q < 0:
         raise InvalidParameterError("q must be non-negative")
-    return sum(comb(q, a) * surjections(d, a) * (q - a) ** d for a in range(1, q + 1))
+    return sum(comb(q, a) * surjections(d, a) * (q - a) ** d for a in range(1, min(d, q) + 1))
 
 
 @dataclass(frozen=True)

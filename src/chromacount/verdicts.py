@@ -155,6 +155,8 @@ def constrained_scan(family: Iterable[Graph], q: int, eps) -> ScanResult:
     """Maximum of c_q over the family members whose independence number is
     at most (n/2)(1-eps), with the full (alpha, count) table sorted by
     graph6 string.  The family must share one (n, d)."""
+    if q < 0:
+        raise InvalidParameterError("q must be non-negative")
     eps_frac = _eps_fraction(eps)
     n = d = None
     rows = []

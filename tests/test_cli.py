@@ -131,12 +131,27 @@ def test_verify_cubic_corpus(tmp_path, capsys):
     assert graph6s == sorted(graph6s)
 
 
-def test_verify_jobs_deterministic(tmp_path, capsys):
-    graphs = [g for n in (4, 6, 8) for g in regular_family(n, 3)]
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("target", ["colorings", "indsets", "hom"])
+def test_verify_jobs_deterministic(tmp_path, capsys, monkeypatch, target, fmt):
+    started = _spy_pool(monkeypatch)
+    graphs = [g for n in (4, 6, 8) for g in regular_family(n, 3)] + [k4_minus_edge()]
     path = write_g6(tmp_path, "cubic.g6", graphs)
-    _, out1 = run(capsys, ["verify", "--graphs", path, "--q", "3"])
-    _, out2 = run(capsys, ["verify", "--graphs", path, "--q", "3", "--jobs", "2"])
-    assert out1 == out2
+    argv = ["verify", "--graphs", path, "--format", fmt]
+    if target == "colorings":
+        argv += ["--q", "3"]
+    elif target == "indsets":
+        argv += ["--target", "indsets"]
+    else:
+        hfile = tmp_path / "h.json"
+        hfile.write_text(json.dumps({"k": 2, "edges": [[0, 1], [1, 1]]}))
+        argv += ["--target", f"hom:{hfile}"]
+    code1, out1 = run(capsys, argv + ["--jobs", "1"])
+    assert not started
+    code2, out2 = run(capsys, argv + ["--jobs", "2"])
+    assert started == [2]
+    assert code1 == code2 == EXIT_OK
+    assert out1 == out2 and out1
 
 
 def test_verify_indsets(tmp_path, capsys):
@@ -646,19 +661,99 @@ def test_serial_verify_parses_each_line_once(tmp_path, capsys, monkeypatch):
     assert sorted(calls) == sorted(write_graph6(g) for g in graphs)
 
 
-def test_parallel_verify_rejects_malformed_line_before_pool(tmp_path, capsys, monkeypatch):
+def _spy_pool(monkeypatch):
+    """Record the size of every worker pool that verify starts; the pools
+    are real."""
     import chromacount.cli as cli
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
+    started = []
+    real = cli.multiprocessing.Pool
 
-    monkeypatch.setattr(cli.multiprocessing, "Pool", no_pool)
+    def pool(processes, *args, **kwargs):
+        started.append(processes)
+        return real(processes, *args, **kwargs)
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", pool)
+    return started
+
+
+def _verify_every_jobs(capsys, argv):
+    """(exit code, stdout, stderr) of argv under --jobs 1 and --jobs 2."""
+    outcomes = []
+    for jobs in ("1", "2"):
+        code = main(argv + ["--jobs", jobs])
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+def test_parallel_verify_rejects_malformed_line(tmp_path, capsys, monkeypatch):
+    started = _spy_pool(monkeypatch)
     path = tmp_path / "bad.g6"
     path.write_text(write_graph6(complete(4)) + "\nC\n" + write_graph6(cycle(5)) + "\n")
-    code = main(["verify", "--graphs", str(path), "--q", "3", "--jobs", "2"])
-    captured = capsys.readouterr()
-    assert code == EXIT_USAGE and captured.out == ""
-    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    serial, parallel = _verify_every_jobs(capsys, ["verify", "--graphs", str(path), "--q", "3"])
+    assert started == [2]
+    assert serial == parallel == (EXIT_USAGE, "", "error: line 2: truncated adjacency bits (need 1 bytes, got 0) (byte offset 1)\n")
+
+
+def test_verify_first_failing_record_decides_for_every_jobs(tmp_path, capsys, monkeypatch):
+    import chromacount.counting as counting
+
+    # the frontier pass holds more than 3 states on K_{3,3} at q = 3; the
+    # workers fork, so they inherit the lowered cap
+    monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", 3)
+    started = _spy_pool(monkeypatch)
+    path = tmp_path / "mixed.g6"
+    path.write_text(write_graph6(complete_bipartite(3, 3)) + "\n" + write_graph6(cycle(5)) + "\nC~~\n")
+    serial, parallel = _verify_every_jobs(capsys, ["verify", "--graphs", str(path), "--q", "3"])
+    assert started == [2]
+    assert serial == parallel
+    code, out, err = serial
+    assert code == EXIT_CAP and out == ""
+    assert len(err.splitlines()) == 1 and "state cap 3" in err
+
+
+def test_errors_survive_pickling():
+    import inspect
+    import pickle
+
+    import chromacount.errors as errors
+
+    classes = [c for _, c in inspect.getmembers(errors, inspect.isclass) if issubclass(c, Exception)]
+    assert errors.Graph6ParseError in classes and errors.CapExceededError in classes
+    for cls in classes:
+        exc = cls("bad record", 2, 3) if cls is errors.Graph6ParseError else cls("bad record")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls and str(back) == str(exc)
+    back = pickle.loads(pickle.dumps(errors.Graph6ParseError("bad record", 2, 3)))
+    assert (back.message, back.offset, back.line) == ("bad record", 2, 3)
+    assert str(back) == "line 3: bad record (byte offset 2)"
+    back = pickle.loads(pickle.dumps(errors.Graph6ParseError("bad record", 2)))
+    assert (back.line, str(back)) == (None, "bad record (byte offset 2)")
+
+
+@pytest.mark.parametrize("store", [None, b'{"6:3:3:0": {"best": "42"}}'])
+def test_negative_q_exits_usage_before_work(tmp_path, capsys, store):
+    records = tmp_path / "records.json"
+    if store is not None:
+        records.write_bytes(store)
+    # no count runs on these inputs, so only an early check rejects the q
+    irregular = write_g6(tmp_path, "k4e.g6", [k4_minus_edge(), k4_minus_edge()])
+    argvs = [
+        ["verify", "--graphs", irregular, "--q", "-2"],
+        ["verify", "--graphs", irregular, "--q", "-2", "--jobs", "2"],
+        ["scan", "--n", "6", "--d", "3", "--q", "-1", "--eps", "1", "--records", str(records)],
+        ["scan", "--n", "4", "--d", "3", "--q", "-1", "--source", "file", "--graphs", irregular, "--records", str(records)],
+    ]
+    for argv in argvs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == "", argv
+        assert captured.err == "error: q must be non-negative\n", argv
+        if store is None:
+            assert not records.exists(), argv
+        else:
+            assert records.read_bytes() == store, argv
 
 
 def _corpus_argvs(path):
@@ -684,12 +779,7 @@ def _corpus_argvs(path):
     ],
 )
 def test_graph6_error_names_its_line(tmp_path, capsys, monkeypatch, data, message):
-    import chromacount.cli as cli
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(cli.multiprocessing, "Pool", no_pool)
+    started = _spy_pool(monkeypatch)
     path = tmp_path / "bad.g6"
     path.write_bytes(data)
     for argv in _corpus_argvs(str(path)):
@@ -697,6 +787,8 @@ def test_graph6_error_names_its_line(tmp_path, capsys, monkeypatch, data, messag
         captured = capsys.readouterr()
         assert code == EXIT_USAGE and captured.out == "", argv
         assert captured.err == message + "\n", argv
+    # --jobs 2 ran its records in a real pool, and said what --jobs 1 said
+    assert started == [2]
 
 
 def _one_graph(tmp_path):

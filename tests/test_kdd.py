@@ -60,6 +60,15 @@ def test_count_colorings_kdd_matches_exact_counter():
             assert count_colorings_kdd(d, q) == count_colorings(g, q)
 
 
+def test_count_colorings_kdd_at_large_q():
+    # the closed form sums over at most d colour-set sizes, so a large q
+    # costs no more than a small one
+    for d in range(2, 5):
+        g = complete_bipartite(d, d)
+        for q in list(range(40)) + [10**2, 10**3, 10**4]:
+            assert count_colorings_kdd(d, q) == count_colorings(g, q), (d, q)
+
+
 def test_c3_kdd_identity():
     for d in range(1, 51):
         assert count_colorings_kdd(d, 3) == 6 * (2**d - 1)
