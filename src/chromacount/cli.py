@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import math
-import multiprocessing
 import os
 import sys
 from fractions import Fraction
 from functools import partial
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from . import __version__, counting
 from .certificates import build_certificate, explicit_weak_bound, phi, verify_certificate
@@ -110,17 +110,32 @@ def _check_writable(path: str) -> None:
         os.remove(path)
 
 
-def _write(text: str, out: str | None) -> None:
-    """The one output writer: the whole report to --out, or to stdout."""
+def _write(lines: Iterable[str], out: str | None) -> None:
+    """The one output writer: the report's lines to --out, or to stdout,
+    without joining them into one more copy of the report."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
-def _emit(records: list[dict], out: str | None) -> None:
-    _write("".join(json.dumps(r, sort_keys=True) + "\n" for r in records), out)
+def _json_line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def _emit(records: Iterable[dict], out: str | None) -> None:
+    _write(map(_json_line, records), out)
+
+
+class _LineFile:
+    """A file whose write returns its text.  csv.writer's writerow returns
+    what write returns, so on this file it renders one row as a CSV line."""
+
+    write = staticmethod(str)
+
+
+_csv_line = csv.writer(_LineFile()).writerow
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +169,11 @@ def cmd_count(args) -> int:
     if args.format == "json":
         _emit(records, args.out)
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["graph6", "n", "q", "method", "value"])
-        for rec in records:
-            writer.writerow([rec["graph6"], rec["n"], rec["q"], rec["method"], rec["value"]])
-        _write(buf.getvalue(), args.out)
+        rows = [["graph6", "n", "q", "method", "value"]]
+        rows += ([rec["graph6"], rec["n"], rec["q"], rec["method"], rec["value"]] for rec in records)
+        _write(map(_csv_line, rows), args.out)
     else:
-        _write("".join(f"{rec['graph6']} q={rec['q']} {rec['value']}\n" for rec in records), args.out)
+        _write((f"{rec['graph6']} q={rec['q']} {rec['value']}\n" for rec in records), args.out)
     return EXIT_CROSSCHECK if mismatch else EXIT_OK
 
 
@@ -210,6 +222,40 @@ def _verify_one(numbered: tuple[int, str], q: int | None, target: str, h: Target
     return _verdict_record(v, g.n, g.degree(0), q if target == "colorings" else None)
 
 
+VERIFY_CSV_HEADER = ["graph6", "n", "d", "q", "target", "holds", "equality", "slack_log2"]
+
+
+def _verify_report(results: Iterable[dict], fmt: str) -> tuple[list[tuple[str, str]], list[dict], dict]:
+    """The (graph6, report line) pairs, the failed verdicts and the summary
+    of the results, in one pass that keeps no other result.  In csv a
+    skipped record has no line."""
+    lines = []
+    failures = []
+    total = verdicts = holds = equality = 0
+    for r in results:
+        total += 1
+        if r["type"] == "verdict":
+            verdicts += 1
+            holds += r["holds"]
+            equality += r["equality"]
+            if not r["holds"]:
+                failures.append(r)
+            if fmt == "csv":
+                lines.append((r["graph6"], _csv_line([r[key] for key in VERIFY_CSV_HEADER])))
+        if fmt == "json":
+            lines.append((r["graph6"], _json_line(r)))
+    summary = {
+        "type": "summary",
+        "total": total,
+        "verdicts": verdicts,
+        "holds": holds,
+        "equality": equality,
+        "failures": len(failures),
+        "skipped": total - verdicts,
+    }
+    return lines, failures, summary
+
+
 def cmd_verify(args) -> int:
     records = _records(args.graphs)
     target = args.target
@@ -232,37 +278,27 @@ def cmd_verify(args) -> int:
         # the chunk size, computed as Pool.map computes it, needs the count
         records = list(records)
     if args.jobs > 1 and len(records) > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
-            results = list(pool.imap(verify, records, chunksize=-(-len(records) // (4 * args.jobs))))
-    else:
-        results = list(map(verify, records))
-    results.sort(key=lambda r: r["graph6"])
+        import multiprocessing
 
-    failures = [r for r in results if r["type"] == "verdict" and not r["holds"]]
+        with multiprocessing.Pool(args.jobs) as pool:
+            chunksize = -(-len(records) // (4 * args.jobs))
+            lines, failures, summary = _verify_report(pool.imap(verify, records, chunksize=chunksize), args.format)
+    else:
+        lines, failures, summary = _verify_report(map(verify, records), args.format)
+    # stable sorts: records with the same graph6 keep their file order
+    lines.sort(key=itemgetter(0))
+    failures.sort(key=itemgetter("graph6"))
+
     if failures:
         # counterexamples are the most valuable output: write them first
         bundle = (args.out + ".counterexamples.json") if args.out else "counterexamples.json"
         with open(bundle, "w", encoding="utf-8") as fh:
             json.dump(failures, fh, indent=2, sort_keys=True)
-    summary = {
-        "type": "summary",
-        "total": len(results),
-        "verdicts": sum(1 for r in results if r["type"] == "verdict"),
-        "holds": sum(1 for r in results if r["type"] == "verdict" and r["holds"]),
-        "equality": sum(1 for r in results if r["type"] == "verdict" and r["equality"]),
-        "failures": len(failures),
-        "skipped": sum(1 for r in results if r["type"] == "skipped"),
-    }
+    report = (line for _, line in lines)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["graph6", "n", "d", "q", "target", "holds", "equality", "slack_log2"])
-        for r in results:
-            if r["type"] == "verdict":
-                writer.writerow([r["graph6"], r["n"], r["d"], r["q"], r["target"], r["holds"], r["equality"], r["slack_log2"]])
-        _write(buf.getvalue(), args.out)
+        _write(itertools.chain([_csv_line(VERIFY_CSV_HEADER)], report), args.out)
     else:
-        _emit(results + [summary], args.out)
+        _write(itertools.chain(report, [_json_line(summary)]), args.out)
     return EXIT_VIOLATION if failures else EXIT_OK
 
 
@@ -318,14 +354,16 @@ def cmd_certificate(args) -> int:
 def cmd_scan(args) -> int:
     store = RecordStore(args.records, __version__) if args.records else None
     if args.source == "gen":
-        family = list(enumerate_regular(args.n, args.d))
+        # a generator: constrained_scan checks --q and --eps before it
+        # advances it, and no list of the family is held
+        family = enumerate_regular(args.n, args.d)
     else:
         if not args.graphs:
             raise InvalidParameterError("--source file requires --graphs")
         family = _read_graphs(args.graphs)
     result = constrained_scan(family, args.q, args.eps)
-    n_val = result.n if family else args.n
-    d_val = result.d if family else args.d
+    n_val = result.n if result.family_size else args.n
+    d_val = result.d if result.family_size else args.d
     records = [
         {"type": "scan-row", "graph6": r.graph6, "n": result.n, "d": result.d, "q": args.q, "alpha": r.alpha, "value": str(r.count)}
         for r in result.rows
@@ -337,7 +375,7 @@ def cmd_scan(args) -> int:
             "d": d_val,
             "q": args.q,
             "eps": str(result.eps),
-            "family_size": len(family),
+            "family_size": result.family_size,
             "filtered": len(result.rows),
             "max": str(result.max_count),
             "argmax": result.argmax,

@@ -132,6 +132,7 @@ class ScanResult:
     max_count: int
     argmax: str | None
     rows: tuple[ScanRow, ...]  # every family member that passed the filter
+    family_size: int           # every family member, filtered or not
 
 
 def _eps_fraction(eps) -> Fraction:
@@ -154,14 +155,18 @@ def alpha_admitted(alpha: int, n: int, eps: Fraction) -> bool:
 def constrained_scan(family: Iterable[Graph], q: int, eps) -> ScanResult:
     """Maximum of c_q over the family members whose independence number is
     at most (n/2)(1-eps), with the full (alpha, count) table sorted by
-    graph6 string.  The family must share one (n, d)."""
+    graph6 string.  The family must share one (n, d); it is iterated once,
+    after q and eps are checked, so a generator is never advanced on bad
+    arguments."""
     if q < 0:
         raise InvalidParameterError("q must be non-negative")
     eps_frac = _eps_fraction(eps)
     n = d = None
     rows = []
     best: tuple[int, str] | None = None
+    family_size = 0
     for g in family:
+        family_size += 1
         dg = _regular_degree(g, min_d=0)
         if n is None:
             n, d = g.n, dg
@@ -177,4 +182,4 @@ def constrained_scan(family: Iterable[Graph], q: int, eps) -> ScanResult:
             best = (count, g6)
     rows.sort(key=lambda r: r.graph6)
     max_count, argmax = best or (0, None)
-    return ScanResult(n or 0, d or 0, q, eps_frac, max_count, argmax, tuple(rows))
+    return ScanResult(n or 0, d or 0, q, eps_frac, max_count, argmax, tuple(rows), family_size)

@@ -3,6 +3,9 @@ regular graph generator.  The oracles here are deliberately naive and stay
 independent of the library code paths they check."""
 from __future__ import annotations
 
+import csv
+import io
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -195,6 +198,33 @@ def reference_parse_graph6(data: bytes | str) -> Graph:
     if (raw[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
         raise Graph6ParseError("nonzero padding bits in last byte", need)
     return Graph(n, tuple(rows))
+
+
+def reference_verify_report(results: list[dict], fmt: str) -> tuple[str, str | None]:
+    """verify's report and counterexample bundle (None without failures),
+    assembled from every result dict at once: sorted by graph6, then joined
+    into one string."""
+    results = sorted(results, key=lambda r: r["graph6"])
+    failures = [r for r in results if r["type"] == "verdict" and not r["holds"]]
+    bundle = json.dumps(failures, indent=2, sort_keys=True) if failures else None
+    summary = {
+        "type": "summary",
+        "total": len(results),
+        "verdicts": sum(1 for r in results if r["type"] == "verdict"),
+        "holds": sum(1 for r in results if r["type"] == "verdict" and r["holds"]),
+        "equality": sum(1 for r in results if r["type"] == "verdict" and r["equality"]),
+        "failures": len(failures),
+        "skipped": sum(1 for r in results if r["type"] == "skipped"),
+    }
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["graph6", "n", "d", "q", "target", "holds", "equality", "slack_log2"])
+        for r in results:
+            if r["type"] == "verdict":
+                writer.writerow([r["graph6"], r["n"], r["d"], r["q"], r["target"], r["holds"], r["equality"], r["slack_log2"]])
+        return buf.getvalue(), bundle
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in results + [summary]), bundle
 
 
 def reference_bfs_order(g: Graph) -> list[int]:

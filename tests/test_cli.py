@@ -1,10 +1,13 @@
+import dataclasses
 import gc
 import json
 import math
+import multiprocessing
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -12,7 +15,7 @@ import pytest
 from chromacount import complete, complete_bipartite, cycle, disjoint_copies, write_graph6
 from chromacount.cli import EXIT_CAP, EXIT_CROSSCHECK, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
-from helpers import k4_minus_edge, petersen, random_regular, regular_family
+from helpers import k4_minus_edge, petersen, random_regular, reference_verify_report, regular_family
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -152,6 +155,65 @@ def test_verify_jobs_deterministic(tmp_path, capsys, monkeypatch, target, fmt):
     assert started == [2]
     assert code1 == code2 == EXIT_OK
     assert out1 == out2 and out1
+
+
+def _fail_on_n_divisible_by_4(g, q):
+    """conjecture_verdict, turned into a failed verdict when 4 divides n."""
+    import chromacount.verdicts as verdicts
+
+    v = verdicts.conjecture_verdict(g, q)
+    return dataclasses.replace(v, holds=False, equality=False) if g.n % 4 == 0 else v
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_report_matches_whole_report_assembly(tmp_path, capsys, monkeypatch, fmt, jobs):
+    import chromacount.cli as cli
+
+    # the pool forks, so the workers inherit the failing verdict
+    monkeypatch.setattr(cli, "conjecture_verdict", _fail_on_n_divisible_by_4)
+    graphs = [*regular_family(6, 3), *regular_family(8, 3), complete(4), cycle(5), complete(4), k4_minus_edge(), complete_bipartite(2, 3)]
+    random.Random(14).shuffle(graphs)
+    records = [write_graph6(g) for g in graphs]
+    path = write_g6(tmp_path, "mixed.g6", graphs)
+    results = [cli._verify_one((line, record), 3, "colorings", None) for line, record in enumerate(records, 1)]
+    # a duplicate record, skipped records, and verdicts that hold and fail
+    assert len(set(records)) < len(records)
+    assert {r["type"] for r in results} == {"verdict", "skipped"}
+    assert {r["holds"] for r in results if r["type"] == "verdict"} == {True, False}
+    report, bundle = reference_verify_report(results, fmt)
+
+    argv = ["verify", "--graphs", path, "--q", "3", "--format", fmt, "--jobs", jobs]
+    out = tmp_path / "report"
+    assert main(argv + ["--out", str(out)]) == EXIT_VIOLATION
+    assert out.read_bytes() == report.encode()
+    assert (tmp_path / "report.counterexamples.json").read_bytes() == bundle.encode()
+    monkeypatch.chdir(tmp_path)
+    code, stdout = run(capsys, argv)
+    assert code == EXIT_VIOLATION and stdout == report
+    assert (tmp_path / "counterexamples.json").read_bytes() == bundle.encode()
+
+
+def test_verify_memory_stays_proportional_to_report(tmp_path):
+    # drawn as the verify-indsets-bulk benchmark draws its corpus
+    rng = random.Random(14)
+    graphs = []
+    for k in range(2000):
+        d = 3 + k % 2
+        n = rng.randrange(8, 17, 2) if d == 3 else rng.randrange(8, 17)
+        graphs.append(random_regular(n, d, rng))
+    path = write_g6(tmp_path, "bulk.g6", graphs)
+    out = tmp_path / "bulk.jsonl"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--target", "indsets", "--graphs", path, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    size = out.stat().st_size
+    assert peak < 3 * size, f"traced peak {peak} bytes for a report of {size} bytes"
 
 
 def test_verify_indsets(tmp_path, capsys):
@@ -429,12 +491,10 @@ def test_reports_byte_deterministic(tmp_path, capsys):
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_verify_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
-    import chromacount.cli as cli
-
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(cli.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     path = write_g6(tmp_path, "g.g6", [complete(4), cycle(5)])
     code = main(["verify", "--graphs", path, "--q", "3", "--jobs", jobs])
     captured = capsys.readouterr()
@@ -538,7 +598,7 @@ def test_bad_output_path_exits_before_work(tmp_path, capsys, monkeypatch, case):
         for name in work:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, no_work)
-    monkeypatch.setattr(cli.multiprocessing, "Pool", no_work)
+    monkeypatch.setattr(multiprocessing, "Pool", no_work)
     g6 = write_g6(tmp_path, "g.g6", [complete(4), complete_bipartite(3, 3)])
     (tmp_path / "dir").mkdir()
     bad_paths = (
@@ -664,16 +724,14 @@ def test_serial_verify_parses_each_line_once(tmp_path, capsys, monkeypatch):
 def _spy_pool(monkeypatch):
     """Record the size of every worker pool that verify starts; the pools
     are real."""
-    import chromacount.cli as cli
-
     started = []
-    real = cli.multiprocessing.Pool
+    real = multiprocessing.Pool
 
     def pool(processes, *args, **kwargs):
         started.append(processes)
         return real(processes, *args, **kwargs)
 
-    monkeypatch.setattr(cli.multiprocessing, "Pool", pool)
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
     return started
 
 
@@ -754,6 +812,25 @@ def test_negative_q_exits_usage_before_work(tmp_path, capsys, store):
             assert not records.exists(), argv
         else:
             assert records.read_bytes() == store, argv
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(["--q", "-1"], "q must be non-negative"), (["--q", "3", "--eps", "2"], "eps must lie in [0, 1]")],
+    ids=["q", "eps"],
+)
+def test_scan_checks_arguments_before_generating(capsys, monkeypatch, bad, message):
+    import chromacount.cli as cli
+
+    def family(n, d):
+        raise AssertionError("the family was generated before --q and --eps were checked")
+        yield
+
+    monkeypatch.setattr(cli, "enumerate_regular", family)
+    code = main(["scan", "--n", "12", "--d", "3", *bad])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def _corpus_argvs(path):
@@ -883,6 +960,16 @@ def test_version_is_defined_once(capsys):
     assert exc.value.code == 0
     assert capsys.readouterr().out == f"{chromacount.__version__}\n"
     assert chromacount.__version__ == declared
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only verify --jobs N imports it, when it starts its pool
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, chromacount.cli; print('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout == "False\n"
 
 
 def test_cli_runs_on_the_standard_library_alone(tmp_path):
