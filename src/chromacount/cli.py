@@ -58,11 +58,12 @@ class _Parser(argparse.ArgumentParser):
 def _records(path: str) -> Iterator[tuple[int, str]]:
     """The graph6 records of `path` (- for stdin) with their 1-based lines.
     Blank lines and a bare >>graph6<< header are skipped.  A byte that is not
-    ASCII is kept (as a lone surrogate), so that parse_graph6 rejects it.
-    The file is read now; each pair is made as it is consumed, so a serial
-    run holds no line number past its record."""
+    ASCII is kept (as a lone surrogate), so that parse_graph6 rejects it;
+    stdin is decoded so too, whatever the locale.  The file is read now; each
+    pair is made as it is consumed, so a serial run holds no line number past
+    its record."""
     if path == "-":
-        text = sys.stdin.read()
+        text = sys.stdin.buffer.read().decode("ascii", "surrogateescape")
     else:
         with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
             text = fh.read()
@@ -77,8 +78,9 @@ def _parse(line: int, record: str) -> Graph:
         raise Graph6ParseError(exc.message, exc.offset, line) from None
 
 
-def _read_graphs(path: str) -> list[Graph]:
-    return [_parse(line, record) for line, record in _records(path)]
+def _graphs(path: str) -> Iterator[Graph]:
+    """The graphs of `path`, each parsed as it is consumed."""
+    return itertools.starmap(_parse, _records(path))
 
 
 def _load_target(path: str) -> TargetGraph:
@@ -142,11 +144,22 @@ _csv_line = csv.writer(_LineFile()).writerow
 # count
 # ---------------------------------------------------------------------------
 
+COUNT_CSV_HEADER = ["graph6", "n", "q", "method", "value"]
+
+
+def _count_line(rec: dict, fmt: str) -> str:
+    if fmt == "json":
+        return _json_line(rec)
+    if fmt == "csv":
+        return _csv_line([rec[key] for key in COUNT_CSV_HEADER])
+    return f"{rec['graph6']} q={rec['q']} {rec['value']}\n"
+
+
 def cmd_count(args) -> int:
-    graphs = _read_graphs(args.graph)
-    records = []
+    # only the rendered lines are kept; they are written once all succeed
+    lines = [_csv_line(COUNT_CSV_HEADER)] if args.format == "csv" else []
     mismatch = False
-    for g in graphs:
+    for g in _graphs(args.graph):
         rec = {
             "type": "count",
             "graph6": write_graph6(g),
@@ -165,15 +178,8 @@ def cmd_count(args) -> int:
                 mismatch = True
         else:
             rec["value"] = str(counting.count_colorings(g, args.q, args.method))
-        records.append(rec)
-    if args.format == "json":
-        _emit(records, args.out)
-    elif args.format == "csv":
-        rows = [["graph6", "n", "q", "method", "value"]]
-        rows += ([rec["graph6"], rec["n"], rec["q"], rec["method"], rec["value"]] for rec in records)
-        _write(map(_csv_line, rows), args.out)
-    else:
-        _write((f"{rec['graph6']} q={rec['q']} {rec['value']}\n" for rec in records), args.out)
+        lines.append(_count_line(rec, args.format))
+    _write(lines, args.out)
     return EXIT_CROSSCHECK if mismatch else EXIT_OK
 
 
@@ -307,7 +313,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_certificate(args) -> int:
-    graphs = _read_graphs(args.graph)
+    graphs = list(_graphs(args.graph))
     if len(graphs) != 1:
         raise InvalidParameterError("--graph must supply exactly one graph")
     g = graphs[0]
@@ -360,7 +366,8 @@ def cmd_scan(args) -> int:
     else:
         if not args.graphs:
             raise InvalidParameterError("--source file requires --graphs")
-        family = _read_graphs(args.graphs)
+        # a generator too: no record is parsed before --q and --eps pass
+        family = _graphs(args.graphs)
     result = constrained_scan(family, args.q, args.eps)
     n_val = result.n if result.family_size else args.n
     d_val = result.d if result.family_size else args.d
@@ -423,7 +430,7 @@ def cmd_bounds(args) -> int:
     records = [head]
     violation = False
     if args.graphs:
-        for g in _read_graphs(args.graphs):
+        for g in _graphs(args.graphs):
             cls = classify(g)
             row = {"type": "bounds-row", "graph6": write_graph6(g), "n": g.n, "d": cls.degree, "q": args.q}
             if cls.degree != args.d or g.n != args.n:

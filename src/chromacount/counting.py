@@ -12,18 +12,23 @@ every coefficient as a base-q digit.  The frontier pass and backtracking
 share only the vertex order, so `count --method both` compares independent
 algorithms.  Independent sets are counted by a frontier pass whose state
 is the vertex mask of the unplaced vertices next to the set, with
-homomorphisms into `h_ind` as the oracle.
+homomorphisms into `h_ind` as the oracle.  The same pass in max-plus form,
+where a state's weight is the largest set that induces it, gives the
+independence number; with weights that prefer lower vertices, it gives the
+lexicographically first maximum independent set.  Every frontier pass runs
+through one driver, which owns the vertex order, the mask of unplaced
+vertices and the state cap.
 
 All counts are exact Python integers; nothing here rounds.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Hashable, Sequence
 
 from .errors import CapExceededError, InvalidParameterError
-from .graphs import Graph, TargetGraph, complete_target, components, vertices_of
+from .graphs import Graph, TargetGraph, complete_target, vertices_of
 
-# Live states allowed in one step of either frontier pass; a step holds two
+# Live states allowed in one step of any frontier pass; a step holds two
 # tables.  When CapExceededError was raised (Python 3.11), over-cap colouring
 # inputs (random cubic graphs, n = 40 at q = 4 and n = 60 at q = 5) had
 # peaked at 300-460 MB of RSS, and over-cap independent-set inputs (random
@@ -73,9 +78,27 @@ def count_colorings(g: Graph, q: int, method: str = "frontier") -> int:
 # The frontier pass
 # ---------------------------------------------------------------------------
 
+def _frontier_pass(g: Graph, start: Hashable, weight: int, step: Callable[[dict, int, int, int], dict], cap: int) -> dict:
+    """The table of a frontier pass once every vertex is placed.
+
+    The table maps each state to its weight and starts as {start: weight}.
+    The vertices are placed in BFS order, and step(table, v, unplaced, cap)
+    returns the table after v is placed, where `unplaced` is the mask of the
+    vertices still to come.  A step stops filling its table once that holds
+    more than cap states, and the pass then raises CapExceededError."""
+    order, _ = _bfs_order(g)
+    unplaced = (1 << g.n) - 1
+    table = {start: weight}
+    for i, v in enumerate(order, 1):
+        unplaced ^= 1 << v
+        table = step(table, v, unplaced, cap)
+        if len(table) > cap:
+            raise CapExceededError(f"frontier pass exceeds state cap {cap} at vertex {i} of {g.n}")
+    return table
+
+
 def _count_frontier(g: Graph, q: int) -> int:
-    """Proper q-colorings by one frontier pass (Sekine-Imai-Tani) over the
-    vertices in BFS order.
+    """Proper q-colorings by one frontier pass (Sekine-Imai-Tani).
 
     The frontier is the placed vertices that still have an unplaced
     neighbour.  A state is the partition of the frontier into colour classes,
@@ -88,17 +111,15 @@ def _count_frontier(g: Graph, q: int) -> int:
     of the placed vertices, grows with the bit length of q, so above 64 bits
     the cap shrinks in proportion; this bounds the memory of the chromatic
     polynomial's pass at q = 2**(m + 2)."""
-    cap = DEFAULT_STATE_CAP * 64 // max(64, q.bit_length())
-    n = g.n
-    order, pos = _bfs_order(g)
-    # a vertex stays on the frontier until its last neighbour is placed
-    leaves = [max((pos[w] for w in g.neighbors(v)), default=-1) for v in range(n)]
+    rows = g.rows
     frontier: list[int] = []
-    table: dict[tuple[int, ...], int] = {(): 1}
-    for i, v in enumerate(order):
-        adj = [j for j, u in enumerate(frontier) if (g.rows[v] >> u) & 1]
-        stay = [j for j, u in enumerate(frontier) if leaves[u] > i]
-        joins = leaves[v] > i
+
+    def step(table: dict[tuple[int, ...], int], v: int, unplaced: int, cap: int) -> dict[tuple[int, ...], int]:
+        nonlocal frontier
+        adj = [j for j, u in enumerate(frontier) if (rows[v] >> u) & 1]
+        # a vertex stays on the frontier while it has an unplaced neighbour
+        stay = [j for j, u in enumerate(frontier) if rows[u] & unplaced]
+        joins = bool(rows[v] & unplaced)
         frontier = [frontier[j] for j in stay] + [v] * joins
         nxt: dict[tuple[int, ...], int] = {}
         for state, w in table.items():
@@ -115,9 +136,11 @@ def _count_frontier(g: Graph, q: int) -> int:
                     key = base + (labels[c],) if joins else base
                     nxt[key] = nxt.get(key, 0) + (w if c < b else w * (q - b))
             if len(nxt) > cap:
-                raise CapExceededError(f"frontier pass exceeds state cap {cap} at vertex {i + 1} of {n}")
-        table = nxt
-    return sum(table.values())
+                break
+        return nxt
+
+    cap = DEFAULT_STATE_CAP * 64 // max(64, q.bit_length())
+    return sum(_frontier_pass(g, (), 1, step, cap).values())
 
 
 def chromatic_polynomial(g: Graph) -> tuple[int, ...]:
@@ -186,128 +209,73 @@ def count_homomorphisms(g: Graph, h: TargetGraph) -> int:
     return rec(0)
 
 
-def count_independent_sets(g: Graph) -> int:
-    """Number of independent sets, the empty set included, by one frontier
-    pass over the vertices in BFS order.  A state is the vertex mask of the
-    unplaced vertices with a neighbour in the set; it depends only on
-    which frontier vertices are in the set, so no step holds more states
-    than there are such subsets, and often far fewer (K_{d,d} holds 3).  A
-    new vertex is left out, or joins when the state does not forbid it.
-    More than DEFAULT_STATE_CAP live states raise CapExceededError."""
-    cap = DEFAULT_STATE_CAP
-    n = g.n
-    order, _ = _bfs_order(g)
-    unplaced = (1 << n) - 1
-    table = {0: 1}
-    for i, v in enumerate(order):
+def _indset_pass(g: Graph, gains: Sequence[int] | None) -> int:
+    """The independent-set pass: the number of independent sets, or with
+    `gains`, the largest total gain of one, where vertex v gains gains[v].
+
+    A state is the vertex mask of the unplaced vertices with a neighbour in
+    the set; it depends only on which frontier vertices are in the set, so
+    no step holds more states than there are such subsets, and often far
+    fewer (K_{d,d} holds 3).  A new vertex is left out, or joins when the
+    state does not forbid it.  A state's weight is the number of sets that
+    induce it, or in max-plus form the largest gain of one; once every
+    vertex is placed, the one state left is 0.  More than DEFAULT_STATE_CAP
+    live states raise CapExceededError."""
+    rows = g.rows
+
+    def step(table: dict[int, int], v: int, unplaced: int, cap: int) -> dict[int, int]:
         bit = 1 << v
-        unplaced &= ~bit
-        rows_v = g.rows[v] & unplaced
+        rows_v = rows[v] & unplaced
         nxt: dict[int, int] = {}
         # each state yields at most two keys
         near_cap = 2 * len(table) > cap
-        for state, w in table.items():
-            key = state & ~bit
-            nxt[key] = nxt.get(key, 0) + w
-            if not state & bit:
-                key = state | rows_v
+        if gains is None:
+            for state, w in table.items():
+                key = state & ~bit
                 nxt[key] = nxt.get(key, 0) + w
-            if near_cap and len(nxt) > cap:
-                raise CapExceededError(f"frontier pass exceeds state cap {cap} at vertex {i + 1} of {n}")
-        table = nxt
-    return sum(table.values())
+                if not state & bit:
+                    key = state | rows_v
+                    nxt[key] = nxt.get(key, 0) + w
+                if near_cap and len(nxt) > cap:
+                    break
+        else:
+            gain = gains[v]
+            for state, w in table.items():
+                key = state & ~bit
+                if nxt.get(key, -1) < w:
+                    nxt[key] = w
+                if not state & bit:
+                    key = state | rows_v
+                    w += gain
+                    if nxt.get(key, -1) < w:
+                        nxt[key] = w
+                if near_cap and len(nxt) > cap:
+                    break
+        return nxt
+
+    return _frontier_pass(g, 0, 1 if gains is None else 0, step, DEFAULT_STATE_CAP)[0]
 
 
-def _clique_cover_bound(rows: Sequence[int], mask: int) -> int:
-    # a partition into b cliques bounds any independent set by b
-    bound = 0
-    rem = mask
-    while rem:
-        v = (rem & -rem).bit_length() - 1
-        clique = 1 << v
-        cand = rem & rows[v]
-        while cand:
-            u = (cand & -cand).bit_length() - 1
-            clique |= 1 << u
-            cand &= rows[u]
-        rem &= ~clique
-        bound += 1
-    return bound
-
-
-def _alpha_mask(rows: Sequence[int], mask: int) -> int:
-    """Exact independence number of the induced subgraph on `mask`."""
-    size = 0
-    # reductions: isolated and degree-1 vertices always enter some maximum set
-    changed = True
-    while changed and mask:
-        changed = False
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            nb = rows[v] & mask
-            dv = nb.bit_count()
-            if dv == 0:
-                size += 1
-                mask &= ~(1 << v)
-                changed = True
-                break
-            if dv == 1:
-                size += 1
-                mask &= ~(nb | (1 << v))
-                changed = True
-                break
-    if mask == 0:
-        return size
-    comps = components(rows, mask)
-    if len(comps) > 1:
-        return size + sum(_alpha_mask(rows, c) for c in comps)
-    # connected, minimum degree >= 2
-    best_v = -1
-    best_d = -1
-    m = mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        dv = (rows[v] & mask).bit_count()
-        if dv > best_d:
-            best_d = dv
-            best_v = v
-    if best_d <= 2:
-        # a connected graph with all degrees exactly 2 is a cycle
-        return size + mask.bit_count() // 2
-    v = best_v
-    best = 1 + _alpha_mask(rows, mask & ~(rows[v] | (1 << v)))
-    rest = mask & ~(1 << v)
-    if _clique_cover_bound(rows, rest) > best:
-        best = max(best, _alpha_mask(rows, rest))
-    return size + best
+def count_independent_sets(g: Graph) -> int:
+    """Number of independent sets, the empty set included."""
+    return _indset_pass(g, None)
 
 
 def independence_number(g: Graph) -> int:
-    """Exact independence number by branch and bound over bit masks."""
-    if g.n == 0:
-        return 0
-    return _alpha_mask(g.rows, (1 << g.n) - 1)
+    """Exact independence number: the independent-set pass in max-plus form,
+    each vertex gaining 1."""
+    return _indset_pass(g, [1] * g.n)
 
 
 def maximum_independent_set(g: Graph) -> tuple[int, ...]:
-    """The lexicographically first maximum independent set."""
-    alpha = independence_number(g)
-    chosen: list[int] = []
-    avail = (1 << g.n) - 1
-    for v in range(g.n):
-        if not (avail >> v) & 1:
-            continue
-        # vertices below v are already settled, so avail only holds v and above
-        after = avail & ~(g.rows[v] | (1 << v))
-        if len(chosen) + 1 + _alpha_mask(g.rows, after) == alpha:
-            chosen.append(v)
-            avail = after
-        else:
-            avail &= ~(1 << v)
-    return tuple(chosen)
+    """The lexicographically first maximum independent set, by one max-plus
+    pass in which vertex v gains 2**n + 2**(n - 1 - v).  The high part of a
+    gain counts the vertices.  Of two sets of one size, the lexicographically
+    first holds the least vertex of their symmetric difference, so the low
+    part is larger for it."""
+    n = g.n
+    best = _indset_pass(g, [(1 << n) | (1 << (n - 1 - v)) for v in range(n)])
+    return tuple(v for v in range(n) if (best >> (n - 1 - v)) & 1)
 
 
 def greedy_maximal_matching(g: Graph) -> list[tuple[int, int]]:

@@ -64,6 +64,17 @@ def brute_alpha(g: Graph) -> int:
     return best
 
 
+def brute_maximum_independent_set(g: Graph) -> tuple[int, ...]:
+    """The lexicographically first maximum independent set: combinations
+    come in lexicographic order, so the first independent one of the
+    largest size is it."""
+    for r in range(g.n, 0, -1):
+        for subset in combinations(range(g.n), r):
+            if all(not g.has_edge(u, v) for u, v in combinations(subset, 2)):
+                return subset
+    return ()
+
+
 def brute_surjections(n: int, k: int) -> int:
     total = 0
     for image in product(range(k), repeat=n):

@@ -216,6 +216,34 @@ def test_verify_memory_stays_proportional_to_report(tmp_path):
     assert peak < 3 * size, f"traced peak {peak} bytes for a report of {size} bytes"
 
 
+def test_count_memory_grows_with_report_not_corpus(tmp_path):
+    # count holds one rendered line per graph, not the parsed graphs and
+    # their record dicts; the slope between two corpus sizes leaves out the
+    # fixed cost of a run (holding every graph and dict cost about 8.5 bytes
+    # per byte of report)
+    rng = random.Random(14)
+    graphs = []
+    for k in range(1200):
+        d = 3 + k % 2
+        n = rng.randrange(8, 17, 2) if d == 3 else rng.randrange(8, 17)
+        graphs.append(random_regular(n, d, rng))
+    measured = []
+    for size in (400, 1200):
+        path = write_g6(tmp_path, f"bulk{size}.g6", graphs[:size])
+        out = tmp_path / f"bulk{size}.jsonl"
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = main(["count", "--graph", path, "--q", "2", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        measured.append((peak, out.stat().st_size))
+    (peak0, size0), (peak1, size1) = measured
+    assert peak1 - peak0 < 4 * (size1 - size0), measured
+
+
 def test_verify_indsets(tmp_path, capsys):
     graphs = [g for n in (4, 6, 8) for g in regular_family(n, 3)]
     path = write_g6(tmp_path, "cubic.g6", graphs)
@@ -315,7 +343,7 @@ def test_out_file_is_closed_and_complete(tmp_path, capsys, argv):
 def test_count_reads_stdin(capsys, monkeypatch):
     import io as _io
 
-    monkeypatch.setattr("sys.stdin", _io.StringIO("C~\n"))
+    monkeypatch.setattr("sys.stdin", _io.TextIOWrapper(_io.BytesIO(b"C~\n")))
     code, out = run(capsys, ["count", "--graph", "-", "--q", "4"])
     assert code == EXIT_OK
     assert json_lines(out)[0]["value"] == "24"
@@ -866,6 +894,66 @@ def test_graph6_error_names_its_line(tmp_path, capsys, monkeypatch, data, messag
         assert captured.err == message + "\n", argv
     # --jobs 2 ran its records in a real pool, and said what --jobs 1 said
     assert started == [2]
+
+
+def test_stdin_decodes_as_files_do(tmp_path, capsys, monkeypatch):
+    import io as _io
+
+    # stdin's own codec (here UTF-8, whatever the locale) is not used: a byte
+    # that is not ASCII is named as the same bytes in a file name it
+    data = b"Cr\n\xff\n"
+    message = "error: line 2: non-ASCII byte (byte offset 0)\n"
+    path = tmp_path / "bad.g6"
+    path.write_bytes(data)
+    for argv in _corpus_argvs("-"):
+        monkeypatch.setattr("sys.stdin", _io.TextIOWrapper(_io.BytesIO(data), encoding="utf-8"))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == "", argv
+        assert captured.err == message, argv
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONIOENCODING="utf-8")
+    for source in ("-", str(path)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "chromacount.cli", "verify", "--graphs", source, "--q", "3"],
+            input=data, env=env, capture_output=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_USAGE, b"", message.encode()), source
+
+
+def test_scan_file_checks_arguments_before_parsing(tmp_path, capsys, monkeypatch):
+    import chromacount.cli as cli
+
+    def parse(record):
+        raise AssertionError("a record was parsed before --q and --eps were checked")
+
+    monkeypatch.setattr(cli, "parse_graph6", parse)
+    path = write_g6(tmp_path, "cubic.g6", regular_family(8, 3))
+    for bad, message in ((["--q", "-1"], "q must be non-negative"), (["--q", "3", "--eps", "2"], "eps must lie in [0, 1]")):
+        code = main(["scan", "--n", "8", "--d", "3", "--source", "file", "--graphs", path, *bad])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--n", "10", "--d", "3", "--q", "3", "--source", "file", "--graphs"],
+        # Petersen's 2-colourings fit one state, so alpha is what goes over
+        ["bounds", "--n", "10", "--d", "3", "--q", "2", "--graphs"],
+        ["certificate", "--q", "3", "--indset", "auto", "--graph"],
+    ],
+    ids=["scan", "bounds", "certificate"],
+)
+def test_alpha_over_state_cap_exits_cap(tmp_path, capsys, monkeypatch, argv):
+    import chromacount.counting as counting
+
+    monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", 3)
+    path = write_g6(tmp_path, "petersen.g6", [petersen()])
+    code = main(argv + [path])
+    captured = capsys.readouterr()
+    assert code == EXIT_CAP and captured.out == ""
+    assert captured.err == "error: frontier pass exceeds state cap 3 at vertex 3 of 10\n"
 
 
 def _one_graph(tmp_path):

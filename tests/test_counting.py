@@ -35,6 +35,7 @@ from helpers import (
     brute_count_colorings,
     brute_count_homomorphisms,
     brute_count_independent_sets,
+    brute_maximum_independent_set,
     interpolate_int_polynomial,
     petersen,
     poly_product,
@@ -309,25 +310,39 @@ def test_independent_set_memo_cap(monkeypatch):
         count_independent_sets(petersen())
 
 
-def test_independent_set_cap_raises_at_same_vertex(monkeypatch):
+# the vertex named for each cap 1, 2, ...: the first step whose table holds
+# more than cap states.  The independence number runs the independent-set
+# pass in max-plus form, whose states are the same.
+_PETERSEN_INDSET_CAP_VERTICES = [1, 2, 3, 3, 4, 4, 4, 5, 5, 5]
+_RR16_INDSET_CAP_VERTICES = [1, 2, 3, 3, 4, 4, 5, 5, 5, 5, 6, 6, 6, 7, 7, 7, 7, 7, 8, 8, 8] + [9] * 6
+
+
+@pytest.mark.parametrize(
+    "count, expected",
+    [
+        (count_independent_sets, (_PETERSEN_INDSET_CAP_VERTICES, _RR16_INDSET_CAP_VERTICES)),
+        (independence_number, (_PETERSEN_INDSET_CAP_VERTICES, _RR16_INDSET_CAP_VERTICES)),
+        (
+            lambda g: count_colorings(g, 3),
+            ([3, 4, 4, 5, 5, 5, 6, 6, 6, 6, 6, 7, 7, 7, 8], [3, 5, 5, 6, 6, 6, 6, 7, 7, 7, 7] + [9] * 8),
+        ),
+    ],
+    ids=["count_independent_sets", "independence_number", "count_colorings_q3"],
+)
+def test_independent_set_cap_raises_at_same_vertex(monkeypatch, count, expected):
     import chromacount.counting as counting
 
-    # the vertex named for each cap 1, 2, ...: the first step whose table
-    # holds more than cap states; None once the graph fits
-    expected = {
-        petersen(): [1, 2, 3, 3, 4, 4, 4, 5, 5, 5] + [None] * 29,
-        random_regular(16, 4, random.Random(5)): (
-            [1, 2, 3, 3, 4, 4, 5, 5, 5, 5, 6, 6, 6, 7, 7, 7, 7, 7, 8, 8, 8] + [9] * 6 + [None] * 12
-        ),
-    }
-    for g, vertices in expected.items():
-        for cap, vertex in enumerate(vertices, 1):
+    # every pass raises with one message, naming the same vertex as before;
+    # caps 1-39 are checked, and past the listed ones the graph fits
+    graphs = (petersen(), random_regular(16, 4, random.Random(5)))
+    for g, vertices in zip(graphs, expected):
+        for cap, vertex in enumerate(vertices + [None] * (39 - len(vertices)), 1):
             monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", cap)
             if vertex is None:
-                count_independent_sets(g)
+                count(g)
                 continue
             with pytest.raises(CapExceededError) as exc:
-                count_independent_sets(g)
+                count(g)
             assert str(exc.value) == f"frontier pass exceeds state cap {cap} at vertex {vertex} of {g.n}"
 
 
@@ -375,6 +390,55 @@ def test_maximum_independent_set_lex_first():
     assert maximum_independent_set(complete_bipartite(3, 3)) == (0, 1, 2)
     assert maximum_independent_set(cycle(5)) == (0, 2)
     assert maximum_independent_set(complete(4)) == (0,)
+
+
+def test_independence_number_matches_networkx_clique_of_complement():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(16)
+    for d in (3, 4, 5):
+        for n in (20, 26, 32, 40):
+            g = random_regular(n, d, rng)
+            complement = nx.complement(nx.Graph(g.edges()))
+            complement.add_nodes_from(range(n))
+            _, alpha = nx.max_weight_clique(complement, weight=None)
+            assert independence_number(g) == alpha, (d, n)
+            mis = maximum_independent_set(g)
+            assert len(mis) == alpha and all(not g.has_edge(u, v) for u in mis for v in mis)
+
+
+def test_independence_number_closed_forms_up_to_n62():
+    for d in range(1, 8):
+        for t in range(1, 62 // (2 * d) + 1):
+            assert independence_number(disjoint_copies(complete_bipartite(d, d), t)) == t * d, (d, t)
+    for n in range(3, 63):
+        assert independence_number(cycle(n)) == n // 2
+        assert maximum_independent_set(cycle(n)) == tuple(range(0, n - 1, 2))
+    for t in range(1, 7):
+        assert independence_number(disjoint_copies(petersen(), t)) == 4 * t
+
+
+def test_independence_number_matches_brute_force_on_arbitrary_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw):
+        # irregular and disconnected graphs, isolated vertices included
+        n = draw(st.integers(1, 12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        return from_edges(n, edges)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(graphs())
+    def check(g):
+        mis = brute_maximum_independent_set(g)
+        assert independence_number(g) == brute_alpha(g) == len(mis)
+        assert maximum_independent_set(g) == mis
+
+    check()
+    empty = Graph(0, ())
+    assert (independence_number(empty), maximum_independent_set(empty), count_independent_sets(empty)) == (0, (), 1)
 
 
 def test_multiplicativity():
