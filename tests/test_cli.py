@@ -920,6 +920,42 @@ def test_stdin_decodes_as_files_do(tmp_path, capsys, monkeypatch):
         assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_USAGE, b"", message.encode()), source
 
 
+def test_records_split_lines_as_splitlines_does():
+    # the lazy split of _records against the list that str.splitlines() cut:
+    # the same (line, record) pairs, from stdin (no newline translation) and
+    # from a file
+    import io as _io
+    import tempfile
+    from unittest import mock
+
+    import chromacount.cli as cli
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    breaks = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e"]
+    pieces = st.sampled_from(breaks + [">>graph6<<", " ", "\t", "\x1f", "\xff"]) | st.text(st.characters(min_codepoint=63, max_codepoint=126), max_size=8)
+
+    def expected(text):
+        stripped = (line.strip().removeprefix(">>graph6<<").strip() for line in text.splitlines())
+        return [(line, record) for line, record in enumerate(stripped, 1) if record]
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.lists(pieces, max_size=30))
+    def check(parts):
+        data = "".join(parts).encode("latin-1")
+        text = data.decode("ascii", "surrogateescape")
+        with mock.patch.object(sys, "stdin", _io.TextIOWrapper(_io.BytesIO(data))):
+            assert list(cli._records("-")) == expected(text)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "corpus.g6")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            with open(path, encoding="ascii", errors="surrogateescape") as fh:
+                assert list(cli._records(path)) == expected(fh.read())
+
+    check()
+
+
 def test_scan_file_checks_arguments_before_parsing(tmp_path, capsys, monkeypatch):
     import chromacount.cli as cli
 

@@ -29,7 +29,7 @@ from chromacount import (
     vertices_of,
     write_graph6,
 )
-from chromacount import count_homomorphisms
+from chromacount import count_homomorphisms, graphs
 from chromacount.graphs import _blocks, _is_canonical_prefix, _pack_blocks, components
 
 from helpers import (
@@ -319,7 +319,7 @@ def test_canonicity_test_agrees_with_canonical_key():
         cases.append(from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]).rows)
     for n, d in ((8, 3), (9, 4)):
         cases += [g.rows for g in regular_family(n, d)]
-    accepted = 0
+    accepted = filtered = 0
     for rows in cases:
         for m in range(1, len(rows) + 1):
             prefix = [r & ((1 << m) - 1) for r in rows[:m]]
@@ -327,14 +327,40 @@ def test_canonicity_test_agrees_with_canonical_key():
             canonical = _is_canonical_prefix(prefix, m, blocks)
             assert canonical == (canonical_key(Graph(m, tuple(prefix)))[1] == _pack_blocks(blocks))
             accepted += canonical
+            # the generator's O(1) filter: when the last block, its final bit
+            # dropped, is below the block before it, swapping the last two
+            # vertices gives a smaller labeling
+            if m >= 2 and blocks[m - 1] >> 1 < blocks[m - 2]:
+                assert not canonical
+                filtered += 1
     assert 0 < accepted < sum(len(rows) for rows in cases)
+    assert filtered > 100
+
+
+def test_enumerate_regular_canonicity_tests_counted(monkeypatch):
+    # a work counter, not a timing: the filter leaves 3,123 of the 12,090
+    # searches that (10, 4) needs without it
+    calls = 0
+    search = graphs._is_canonical_prefix
+
+    def counted(rows, m, blocks):
+        nonlocal calls
+        calls += 1
+        return search(rows, m, blocks)
+
+    monkeypatch.setattr(graphs, "_is_canonical_prefix", counted)
+    assert len(list(enumerate_regular(10, 4))) == 59
+    assert calls == 3123
 
 
 def test_enumerate_regular_counts():
     # OEIS A002851, connected cubic graphs (n = 12 is checked where that family is built)
     assert [len(regular_family(n, 3)) for n in (4, 6, 8, 10)] == [1, 2, 5, 19]
     # OEIS A006820, connected quartic graphs
-    assert [len(regular_family(n, 4)) for n in range(5, 11)] == [1, 1, 2, 6, 16, 59]
+    assert [len(regular_family(n, 4)) for n in range(5, 12)] == [1, 1, 2, 6, 16, 59, 265]
+    # OEIS A006821, connected 5-regular graphs, and A006822, connected 6-regular graphs
+    assert [len(regular_family(n, 5)) for n in (6, 8, 10)] == [1, 3, 60]
+    assert [len(regular_family(n, 6)) for n in range(7, 11)] == [1, 1, 4, 21]
     # disconnected classes join when requested: K4 + K4 on eight vertices
     assert len(tuple(enumerate_regular(8, 3, connected=False))) == 6
 
@@ -375,6 +401,26 @@ def test_enumerate_regular_against_edge_subset_brute_force():
         assert {canonical_key(g) for g in enumerate_regular(n, d, connected=False)} == seen_all
 
 
+def test_enumerate_regular_matches_networkx_atlas():
+    # independent oracle: the atlas lists every graph on at most 7 vertices
+    nx = pytest.importorskip("networkx")
+    atlas = nx.graph_atlas_g()
+    for n in range(1, 8):
+        for d in range(n):
+            expected = [a for a in atlas if a.number_of_nodes() == n and all(k == d for _, k in a.degree())]
+            if n * d % 2:
+                assert not expected
+                continue
+            for connected in (True, False):
+                want = [a for a in expected if not connected or nx.is_connected(a)]
+                got = [nx.Graph(g.edges()) for g in enumerate_regular(n, d, connected=connected)]
+                for h in got:
+                    h.add_nodes_from(range(n))
+                assert len(got) == len(want), (n, d, connected)
+                for a in want:
+                    assert sum(nx.is_isomorphic(a, h) for h in got) == 1, (n, d, connected)
+
+
 def test_enumerate_regular_deterministic_order():
     first = [write_graph6(g) for g in enumerate_regular(8, 3)]
     second = [write_graph6(g) for g in enumerate_regular(8, 3)]
@@ -386,6 +432,9 @@ def test_enumerate_regular_output_pinned():
     digests = {
         (10, 3, True): "52ebbafa00eae1d2c88fc76ffd82fd586113645f68e461026e4abbda688377ef",
         (10, 4, True): "ff85772df96941eaeb657b137369afba2e91780780e85615b41c43515464a94f",
+        (10, 5, True): "8ff57aaa05429baf82a1868a796cac72c44b39e7ddd16d2d400372c1dc09e75c",
+        (10, 6, True): "34819c225c8d650fb5c0ded2c6e0c4f3042cb53ec5acd4a7b241fecaf48ff178",
+        (11, 4, True): "5a17ca9c4c012585a623e3a525f47ec61f6f7279df9fc6574bcfc1ebac2f3d07",
         (8, 3, False): "06f7b9ac70b130495a09d0665c6c6acfb50bec8e620dcdb3cfdad4b037d9c2f7",
         (8, 4, False): "9267a9adba361b52791159c8fc20e4a4cfa7349c475537bb672c93fe5c82d8b7",
     }
