@@ -8,12 +8,12 @@ mathematical violation found, 64 usage error, 65 cap exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 from functools import partial
@@ -56,26 +56,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# a line as str.splitlines() cuts them, with its break; at the end of the text
-# one empty match follows, which is skipped as a blank line
-_LINE = re.compile(r"[^\n\r\v\f\x1c-\x1e]*(?:\r\n|[\n\r\v\f\x1c-\x1e]|\Z)")
-
-
 def _records(path: str) -> Iterator[tuple[int, str]]:
-    """The graph6 records of `path` (- for stdin) with their 1-based lines.
+    """The graph6 records of `path` (- for stdin, which is left open) with
+    their 1-based lines, read one line at a time as they are consumed.
     Blank lines and a bare >>graph6<< header are skipped.  A byte that is not
     ASCII is kept (as a lone surrogate), so that parse_graph6 rejects it;
-    stdin is decoded so too, whatever the locale.  The file is read now; each
-    pair is made as it is consumed, so a serial run holds no line number past
-    its record and no list of lines."""
-    if path == "-":
-        text = sys.stdin.buffer.read().decode("ascii", "surrogateescape")
-    else:
-        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-            text = fh.read()
-    # each match is a line with its break, which strip() drops
-    stripped = (m[0].strip().removeprefix(">>graph6<<").strip() for m in _LINE.finditer(text))
-    return ((line, record) for line, record in enumerate(stripped, 1) if record)
+    stdin is decoded so too, whatever the locale."""
+    if path == "-" and sys.stdin is None:
+        raise OSError("stdin is closed")
+    with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
+        # a binary line ends only at \n; splitlines() cuts it again where it
+        # cuts the whole text, at \r, \v, \f and \x1c-\x1e
+        texts = (text for raw in fh for text in raw.decode("ascii", "surrogateescape").splitlines())
+        for line, text in enumerate(texts, 1):
+            record = text.strip().removeprefix(">>graph6<<").strip()
+            if record:
+                yield line, record
 
 
 def _parse(line: int, record: str) -> Graph:
@@ -126,7 +122,9 @@ def _write(lines: Iterable[str], out: str | None) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
     else:
+        # flushed here, so that a broken pipe is raised inside main
         sys.stdout.writelines(lines)
+        sys.stdout.flush()
 
 
 def _json_line(record: dict) -> str:
@@ -528,17 +526,23 @@ def main(argv=None) -> int:
         for path in (args.out, getattr(args, "records", None)):
             if path:
                 _check_writable(path)
+        if not args.out and sys.stdout is None:
+            raise OSError("stdout is closed")
         return args.func(args)
+    except BrokenPipeError:
+        # nothing reads stdout any more: what is still buffered goes to
+        # devnull, so that the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout is closed (broken pipe)", file=sys.stderr)
+        return EXIT_USAGE
     # bad arguments and malformed input: graph6, JSON of a hom target or of a
-    # records store, bytes that do not decode, a path that cannot be opened
+    # records store, bytes that do not decode, a path or a standard stream
+    # that cannot be opened, read or written
     except (
         InvalidParameterError,
         Graph6ParseError,
         UnsupportedSizeError,
-        FileNotFoundError,
-        IsADirectoryError,
-        NotADirectoryError,
-        PermissionError,
+        OSError,
         json.JSONDecodeError,
         UnicodeDecodeError,
     ) as exc:

@@ -28,7 +28,7 @@ def m_count(q: int) -> int:
         raise InvalidParameterError("q must be at least 1")
     if q % 2 == 0:
         return comb(q, q // 2)
-    return comb(q, q // 2) + comb(q, q // 2 + 1)
+    return comb(q + 1, (q + 1) // 2)
 
 
 def surjections(n: int, k: int) -> int:

@@ -108,6 +108,20 @@ def test_count_cap(tmp_path, capsys, monkeypatch):
     assert len(captured.err.splitlines()) == 1 and "state cap 3 " in captured.err
 
 
+def test_backtracking_over_node_cap_exits_cap(tmp_path, capsys, monkeypatch):
+    import chromacount.counting as counting
+
+    monkeypatch.setattr(counting, "BACKTRACK_NODE_CAP", 100)
+    path = write_g6(tmp_path, "k33.g6", [complete_bipartite(3, 3)])
+    hfile = tmp_path / "h.json"
+    hfile.write_text(json.dumps({"k": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))
+    for argv in (["count", "--graph", path, "--q", "3"], ["verify", "--graphs", path, "--target", f"hom:{hfile}"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_CAP and captured.out == "", argv
+        assert captured.err == "error: homomorphism backtracking exceeds search-node cap 100\n", argv
+
+
 def test_count_both_beyond_former_n_cap(tmp_path, capsys):
     graphs = [random_regular(n, 3, random.Random(seed)) for n in (20, 24) for seed in (1, 2)]
     graphs += [complete_bipartite(8, 8), disjoint_copies(petersen(), 2)]
@@ -954,6 +968,76 @@ def test_records_split_lines_as_splitlines_does():
                 assert list(cli._records(path)) == expected(fh.read())
 
     check()
+
+
+def test_records_reads_lazily(monkeypatch):
+    import io as _io
+
+    import chromacount.cli as cli
+
+    data = _io.BytesIO(b"C~\n" * 1000)
+    monkeypatch.setattr("sys.stdin", _io.TextIOWrapper(data))
+    assert next(cli._records("-")) == (1, "C~")
+    assert data.tell() == 3
+
+
+def _cli(argv, flags=(), **kwargs):
+    """One run of the CLI in a new interpreter; stdout and stderr are
+    captured unless given."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, *flags, "-m", "chromacount.cli", *argv], env=env, timeout=60, **streams)
+
+
+def test_closed_stdin_exits_usage():
+    proc = _cli(["count", "--graph", "-", "--q", "3"], preexec_fn=lambda: os.close(0))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_USAGE, b"", b"error: stdin is closed\n")
+
+
+def test_closed_stdout_exits_usage_before_work(tmp_path):
+    # the corpus is malformed, so only a check made before the work names stdout
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"C\n")
+    proc = _cli(["count", "--graph", str(path), "--q", "3"], preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (EXIT_USAGE, b"error: stdout is closed\n")
+
+
+@pytest.mark.parametrize("argv", [["count", "--q", "3", "--graph"], ["verify", "--target", "indsets", "--graphs"]], ids=["count", "verify"])
+def test_broken_stdout_pipe_exits_usage(tmp_path, argv):
+    # a pipe whose read end is closed before the run: every write breaks it
+    path = write_g6(tmp_path, "cubic.g6", regular_family(10, 3))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli(argv + [path], stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_USAGE, b"error: stdout is closed (broken pipe)\n")
+
+
+@pytest.mark.parametrize("source", ["good", "bad", "stdin"])
+def test_corpus_commands_run_clean_in_dev_mode(tmp_path, source):
+    # -X dev -W error turns a corpus file left open (ResourceWarning) into an
+    # error, on every exit path
+    good = write_g6(tmp_path, "k33.g6", [complete_bipartite(3, 3)])
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(b"EFz_\nC\n")
+    path = {"good": good, "bad": str(bad), "stdin": "-"}[source]
+    argvs = [
+        ["count", "--graph", path, "--q", "3"],
+        ["verify", "--graphs", path, "--q", "3"],
+        ["verify", "--graphs", path, "--q", "3", "--jobs", "2"],
+        ["scan", "--n", "6", "--d", "3", "--q", "3", "--source", "file", "--graphs", path],
+        ["bounds", "--n", "6", "--d", "3", "--q", "3", "--graphs", path],
+        ["certificate", "--graph", path, "--q", "3"],
+    ]
+    if source == "bad":
+        expected = (EXIT_USAGE, b"error: line 2: truncated adjacency bits (need 1 bytes, got 0) (byte offset 1)\n")
+    else:
+        expected = (EXIT_OK, b"")
+    for argv in argvs:
+        proc = _cli(argv, ["-X", "dev", "-W", "error"], input=b"EFz_\n")
+        assert (proc.returncode, proc.stderr) == expected, argv
 
 
 def test_scan_file_checks_arguments_before_parsing(tmp_path, capsys, monkeypatch):
