@@ -1,79 +1,67 @@
 """Exact counting of colorings, homomorphisms and independent sets of small
 regular graphs, with exact verdicts for the complete-bipartite extremal
-bounds and the explicit container-certificate machinery behind them."""
+bounds and the explicit container-certificate machinery behind them.
+
+The public names resolve on first use (PEP 562): `import chromacount` loads
+no submodule, and each name imports only the submodule that defines it."""
 
 __version__ = "0.1.0"
 
-from .certificates import (
-    Certificate,
-    CertificateReport,
-    DProfile,
-    LemmaBound,
-    build_certificate,
-    compatible_count,
-    container_size_cap,
-    d_profile,
-    explicit_weak_bound,
-    lemma_opt_bound,
-    phi,
-    refined_bound,
-    verify_certificate,
-)
-from .counting import (
-    chromatic_polynomial,
-    count_colorings,
-    count_homomorphisms,
-    count_independent_sets,
-    evaluate_polynomial,
-    greedy_maximal_matching,
-    independence_number,
-    maximum_independent_set,
-)
-from .errors import CapExceededError, Graph6ParseError, InvalidParameterError, UnsupportedSizeError
-from .graphs import (
-    Classification,
-    Graph,
-    TargetGraph,
-    canonical_key,
-    classify,
-    complete,
-    complete_bipartite,
-    complete_target,
-    cycle,
-    disjoint_copies,
-    disjoint_union,
-    enumerate_regular,
-    from_edges,
-    h_ind,
-    induced_subgraph,
-    looped_vertex,
-    mask_of,
-    parse_graph6,
-    relabel,
-    target_from_edges,
-    vertices_of,
-    write_graph6,
-)
-from .kdd import (
-    ColorPairCensus,
-    GapReport,
-    PairClass,
-    asymptotic_gap,
-    count_colorings_kdd,
-    eta,
-    m_count,
-    pair_census,
-    surjections,
-)
-from .verdicts import (
-    PowerComparison,
-    ReferenceBound,
-    ScanResult,
-    ScanRow,
-    Verdict,
-    alon_kahn_verdict,
-    conjecture_verdict,
-    constrained_scan,
-    hom_conjecture_verdict,
-    reference_bound,
-)
+# public name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "Certificate", "CertificateReport", "DProfile", "LemmaBound", "build_certificate", "compatible_count",
+            "container_size_cap", "d_profile", "explicit_weak_bound", "lemma_opt_bound", "phi", "refined_bound",
+            "verify_certificate",
+        ),
+        "certificates",
+    ),
+    **dict.fromkeys(
+        (
+            "chromatic_polynomial", "count_colorings", "count_homomorphisms", "count_independent_sets",
+            "evaluate_polynomial", "greedy_maximal_matching", "independence_number", "maximum_independent_set",
+        ),
+        "counting",
+    ),
+    **dict.fromkeys(("CapExceededError", "Graph6ParseError", "InvalidParameterError", "UnsupportedSizeError"), "errors"),
+    **dict.fromkeys(
+        (
+            "Classification", "Graph", "TargetGraph", "canonical_key", "classify", "complete", "complete_bipartite",
+            "complete_target", "cycle", "disjoint_copies", "disjoint_union", "enumerate_regular", "from_edges",
+            "h_ind", "induced_subgraph", "looped_vertex", "mask_of", "parse_graph6", "relabel", "target_from_edges",
+            "vertices_of", "write_graph6",
+        ),
+        "graphs",
+    ),
+    **dict.fromkeys(
+        (
+            "ColorPairCensus", "GapReport", "PairClass", "asymptotic_gap", "count_colorings_kdd", "eta", "m_count",
+            "pair_census", "surjections",
+        ),
+        "kdd",
+    ),
+    **dict.fromkeys(
+        (
+            "PowerComparison", "ReferenceBound", "ScanResult", "ScanRow", "Verdict", "alon_kahn_verdict",
+            "conjecture_verdict", "constrained_scan", "hom_conjecture_verdict", "reference_bound",
+        ),
+        "verdicts",
+    ),
+}
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

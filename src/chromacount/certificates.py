@@ -12,9 +12,9 @@ outside N(T).  Then |T| <= n/phi, I is a subset of D, and
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .counting import greedy_maximal_matching
 from .errors import InvalidParameterError

@@ -15,13 +15,11 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
+from collections.abc import Iterable, Iterator
 from functools import partial
 from operator import itemgetter
-from typing import Iterable, Iterator
 
 from . import __version__, counting
-from .certificates import build_certificate, explicit_weak_bound, phi, verify_certificate
 from .counting import independence_number, maximum_independent_set
 from .errors import CapExceededError, Graph6ParseError, InvalidParameterError, NotRegularError, UnsupportedSizeError
 from .graphs import (
@@ -36,8 +34,9 @@ from .graphs import (
     write_graph6,
 )
 from .kdd import eta, m_count
-from .records import RecordStore
 from .verdicts import Verdict, _eps_fraction, alon_kahn_verdict, alpha_admitted, conjecture_verdict, constrained_scan, hom_conjecture_verdict, reference_bound
+# a module that only some subcommands run (certificates, records) is imported
+# inside them, so that the others neither load nor compile it
 
 EXIT_OK = 0
 EXIT_CROSSCHECK = 2
@@ -233,6 +232,21 @@ def _verify_one(numbered: tuple[int, str], q: int | None, target: str, h: Target
     return _verdict_record(v, g.n, g.degree(0), q if target == "colorings" else None)
 
 
+# in a pool worker: the event that the run has failed, set by the parent
+_abandoned = None
+
+
+def _start_worker(abandoned) -> None:
+    global _abandoned
+    _abandoned = abandoned
+
+
+def _unless_abandoned(verify, numbered: tuple[int, str]) -> dict | None:
+    # once the run has failed nothing reads the result, so the records not
+    # yet started cost nothing
+    return None if _abandoned.is_set() else verify(numbered)
+
+
 VERIFY_CSV_HEADER = ["graph6", "n", "d", "q", "target", "holds", "equality", "slack_log2"]
 
 
@@ -291,9 +305,21 @@ def cmd_verify(args) -> int:
     if args.jobs > 1 and len(records) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(args.jobs) as pool:
+        abandoned = multiprocessing.Event()
+        pool = multiprocessing.Pool(args.jobs, _start_worker, (abandoned,))
+        try:
             chunksize = -(-len(records) // (4 * args.jobs))
-            lines, failures, summary = _verify_report(pool.imap(verify, records, chunksize=chunksize), args.format)
+            results = pool.imap(partial(_unless_abandoned, verify), records, chunksize=chunksize)
+            lines, failures, summary = _verify_report(results, args.format)
+        except BaseException:
+            abandoned.set()
+            raise
+        finally:
+            # not terminate(), which Pool's with block calls: a worker killed
+            # while it sends a result holds the result queue's lock for good,
+            # and the pool's shutdown then waits on it forever
+            pool.close()
+            pool.join()
     else:
         lines, failures, summary = _verify_report(map(verify, records), args.format)
     # stable sorts: records with the same graph6 keep their file order
@@ -318,6 +344,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_certificate(args) -> int:
+    from .certificates import build_certificate, phi, verify_certificate
+
     graphs = list(_graphs(args.graph))
     if len(graphs) != 1:
         raise InvalidParameterError("--graph must supply exactly one graph")
@@ -363,6 +391,8 @@ def cmd_certificate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_scan(args) -> int:
+    from .records import RecordStore
+
     store = RecordStore(args.records, __version__) if args.records else None
     if args.source == "gen":
         # a generator: constrained_scan checks --q and --eps before it
@@ -394,8 +424,10 @@ def cmd_scan(args) -> int:
         }
     )
     if store is not None:
-        improved = store.update(n_val, d_val, args.q, str(result.eps), result.max_count, result.argmax)
-        store.save()
+        # against the store as it is now, not as it was read before the scan
+        with store.locked():
+            improved = store.update(n_val, d_val, args.q, str(result.eps), result.max_count, result.argmax)
+            store.save()
         records[-1]["record_improved"] = improved
     _emit(records, args.out)
     return EXIT_OK
@@ -406,14 +438,16 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _log2(x) -> float | None:
+    """log2 of an int or a Fraction, as two logs: the value of a Fraction
+    may not fit a float."""
     if x is None or x <= 0:
         return None
-    if isinstance(x, Fraction):
-        return math.log2(x.numerator) - math.log2(x.denominator)
-    return math.log2(x)
+    return math.log2(x.numerator) - math.log2(x.denominator)
 
 
 def cmd_bounds(args) -> int:
+    from .certificates import explicit_weak_bound
+
     eps = None if args.eps is None else _eps_fraction(args.eps)
     ref = reference_bound(args.n, args.d, args.q)
     weak = explicit_weak_bound(args.n, args.d, args.q) if args.q >= 3 else None
@@ -426,7 +460,7 @@ def cmd_bounds(args) -> int:
         "eps": args.eps,
         "reference_base": str(ref.base),
         "reference_exp": [ref.exp_num, ref.exp_den],
-        "reference_log2": _log2(Fraction(ref.base)) * ref.exp_num / ref.exp_den if ref.base else None,
+        "reference_log2": _log2(ref.base) * ref.exp_num / ref.exp_den if ref.base else None,
         "idealized_log2": math.log2(eta(args.q)) * args.n / 2 + math.log2(m_count(args.q)) * args.n / (2 * args.d),
         "eta_pow_log2": math.log2(eta(args.q)) * args.n / 2,
         "weak_bound_log2": _log2(weak),
@@ -446,12 +480,12 @@ def cmd_bounds(args) -> int:
             row["exact"] = str(exact)
             row["alpha"] = independence_number(g)
             if weak is not None:
-                ok = Fraction(exact) <= weak
+                ok = exact <= weak
                 row["below_weak_bound"] = ok
                 violation = violation or not ok
             if weak_eps is not None:
                 if alpha_admitted(row["alpha"], g.n, eps):
-                    ok = Fraction(exact) <= weak_eps
+                    ok = exact <= weak_eps
                     row["below_weak_bound_eps"] = ok
                     violation = violation or not ok
             records.append(row)

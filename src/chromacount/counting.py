@@ -23,7 +23,7 @@ All counts are exact Python integers; nothing here rounds.
 """
 from __future__ import annotations
 
-from typing import Callable, Hashable, Sequence
+from collections.abc import Callable, Hashable, Sequence
 
 from .errors import CapExceededError, InvalidParameterError
 from .graphs import Graph, TargetGraph, complete_target, vertices_of

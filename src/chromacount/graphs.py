@@ -8,9 +8,9 @@ used for the adjacency rows themselves.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CapExceededError,

@@ -8,7 +8,6 @@ Surj(d,a)*Surj(d,b).  The dominant classes maximize the product a*b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .errors import InvalidParameterError
@@ -119,6 +118,9 @@ class GapReport:
 
 def asymptotic_gap(d: int, q: int) -> GapReport:
     """Exact ratio c_q(K_{d,d}) / (eta^d * m) together with the absolute gap."""
+    # imported here, so that the CLI, which never calls this, does not load it
+    from fractions import Fraction
+
     if d < 1:
         raise InvalidParameterError("d must be at least 1")
     if q < 2:

@@ -4,12 +4,18 @@ One JSON file maps the key "n:d:q:eps" to the best count seen (a decimal
 string, since the values outgrow 64-bit quickly), the witnessing graph6
 string, a timestamp and the tool version.  Updates are monotone: a stored
 best never decreases.  Writes go through a temp file and an atomic rename.
+Inside `locked()` a run holds an exclusive flock on the sidecar file
+<store>.lock and works on the store as it is then, so that concurrent runs
+lose no update.
 """
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 from .errors import InvalidParameterError
@@ -19,15 +25,29 @@ class RecordStore:
     def __init__(self, path: str, version: str):
         self.path = path
         self.version = version
-        self.records: dict[str, dict] = {}
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                self.records = json.load(fh)
-            if not isinstance(self.records, dict):
-                raise InvalidParameterError(f"records store {path} is not a JSON object")
-            for key, rec in self.records.items():
-                if not (isinstance(rec, dict) and isinstance(rec.get("best"), str) and rec["best"].isdecimal()):
-                    raise InvalidParameterError(f'records store {path}: entry {key!r} has no decimal-string "best"')
+        # read now, so that a bad store is reported before any work
+        self.records = self._read()
+
+    def _read(self) -> dict[str, dict]:
+        if not os.path.exists(self.path):
+            return {}
+        with open(self.path, "r", encoding="utf-8") as fh:
+            records = json.load(fh)
+        if not isinstance(records, dict):
+            raise InvalidParameterError(f"records store {self.path} is not a JSON object")
+        for key, rec in records.items():
+            if not (isinstance(rec, dict) and isinstance(rec.get("best"), str) and rec["best"].isdecimal()):
+                raise InvalidParameterError(f'records store {self.path}: entry {key!r} has no decimal-string "best"')
+        return records
+
+    @contextmanager
+    def locked(self) -> Iterator[RecordStore]:
+        """Hold the store's lock and re-read it: update() and save() inside
+        apply to its current contents, and no other run writes in between."""
+        with open(self.path + ".lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            self.records = self._read()
+            yield self
 
     @staticmethod
     def key(n: int, d: int, q: int, eps_key: str) -> str:

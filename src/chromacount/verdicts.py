@@ -9,10 +9,9 @@ log2 slack is display-only and never decides anything.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
-from typing import Iterable
 
 from .counting import count_colorings, count_homomorphisms, count_independent_sets, independence_number
 from .errors import InvalidParameterError, NotRegularError
@@ -138,6 +137,10 @@ class ScanResult:
 def _eps_fraction(eps) -> Fraction:
     """eps as an exact fraction in [0, 1]; a float is read by its decimal
     repr, so 0.4 is 2/5."""
+    # imported here: verify and count make no Fraction, and the annotations
+    # that name it are never evaluated
+    from fractions import Fraction
+
     try:
         eps_frac = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
     except (TypeError, ValueError, ZeroDivisionError):

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -454,6 +455,45 @@ def test_scan_records(tmp_path, capsys):
     assert json.loads(records.read_text())["6:3:3:0"]["best"] == "42"
 
 
+def _waits_for_flock(pid, inode):
+    """Whether process `pid` is blocked on a flock of the file `inode`."""
+    with open("/proc/locks", encoding="ascii") as fh:
+        return any(" -> FLOCK " in line and f" {pid} " in line and f":{inode} " in line for line in fh)
+
+
+def test_scan_records_keeps_a_concurrent_update(tmp_path):
+    import fcntl
+
+    if not os.path.exists("/proc/locks"):
+        pytest.skip("needs /proc/locks to see a process wait for a lock")
+    records = tmp_path / "best.json"
+    records.write_text("{}\n")
+    foreign = {"8:3:3:0": {"n": 8, "d": 3, "q": 3, "eps": "0", "best": "7", "argmax": None}}
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    argv = ["scan", "--n", "6", "--d", "3", "--q", "3", "--records", str(records), "--out", str(tmp_path / "report")]
+    with open(f"{records}.lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        proc = subprocess.Popen([sys.executable, "-m", "chromacount.cli", *argv], env=env, stderr=subprocess.PIPE)
+        try:
+            inode = os.fstat(lock.fileno()).st_ino
+            # the scan has read the store and done its work; it now waits
+            while not _waits_for_flock(proc.pid, inode):
+                assert proc.poll() is None, proc.stderr.read()
+                time.sleep(0.01)
+            assert records.read_text() == "{}\n"
+            # another run's key, written while this one holds the lock
+            records.write_text(json.dumps(foreign))
+        except BaseException:
+            proc.kill()
+            proc.wait()
+            raise
+    assert proc.wait(timeout=60) == EXIT_OK, proc.stderr.read()
+    proc.stderr.close()
+    stored = json.loads(records.read_text())
+    assert stored["8:3:3:0"] == foreign["8:3:3:0"]
+    assert stored["6:3:3:0"]["best"] == "42"
+
+
 def test_scan_boundary_eps(tmp_path, capsys):
     code, out = run(capsys, ["scan", "--n", "6", "--d", "3", "--q", "3", "--eps", "0.4"])
     assert code == EXIT_OK
@@ -811,6 +851,99 @@ def test_verify_first_failing_record_decides_for_every_jobs(tmp_path, capsys, mo
     code, out, err = serial
     assert code == EXIT_CAP and out == ""
     assert len(err.splitlines()) == 1 and "state cap 3" in err
+
+
+def _late_bad_record_argv(tmp_path):
+    """verify --jobs 2 over 6 records whose line 5 holds a non-ASCII byte,
+    into a 3-vertex hom target (Widom-Rowlinson)."""
+    good = [write_graph6(g) for g in regular_family(10, 3)[:5]]
+    path = tmp_path / "late-bad.g6"
+    path.write_bytes("".join(line + "\n" for line in good[:4] + ["I\xff"] + good[4:]).encode("latin-1"))
+    target = tmp_path / "wr.json"
+    target.write_text(json.dumps({"k": 3, "edges": [[0, 0], [0, 1], [1, 2], [2, 2]]}))
+    return ["verify", "--graphs", str(path), "--target", f"hom:{target}", "--format", "csv", "--jobs", "2"]
+
+
+LATE_BAD_RECORD_ERROR = "error: line 5: non-ASCII byte (byte offset 1)\n"
+
+
+def test_parallel_verify_leaves_its_pool_by_close_and_join(tmp_path, capsys, monkeypatch):
+    # terminate() may kill a worker while it holds the result queue's lock
+    import multiprocessing.pool
+
+    calls = []
+
+    class SpyPool(multiprocessing.pool.Pool):
+        def close(self):
+            calls.append("close")
+            super().close()
+
+        def join(self):
+            calls.append("join")
+            super().join()
+
+        def terminate(self):
+            calls.append("terminate")
+            super().terminate()
+
+    monkeypatch.setattr(multiprocessing, "Pool", SpyPool)
+    code = main(_late_bad_record_argv(tmp_path))
+    assert (code, capsys.readouterr().err) == (EXIT_USAGE, LATE_BAD_RECORD_ERROR)
+    assert calls == ["close", "join"]
+
+
+def test_parallel_verify_skips_the_records_left_after_a_failure(tmp_path, capsys, monkeypatch):
+    import chromacount.cli as cli
+
+    # the workers fork, so they inherit this slow verdict; each one it runs
+    # leaves a byte in `ran`
+    ran = tmp_path / "ran"
+    ran.write_text("")
+    real = cli.conjecture_verdict
+
+    def slow_verdict(g, q):
+        time.sleep(0.02)
+        with open(ran, "a") as fh:
+            fh.write("x")
+        return real(g, q)
+
+    monkeypatch.setattr(cli, "conjecture_verdict", slow_verdict)
+    path = tmp_path / "bad-first.g6"
+    path.write_text("C\n" + "".join(write_graph6(cycle(5)) + "\n" for _ in range(79)))
+    code = main(["verify", "--graphs", str(path), "--q", "3", "--jobs", "2"])
+    assert code == EXIT_USAGE and capsys.readouterr().out == ""
+    # the pool would run all 79 if it finished its chunks after the failure
+    assert len(ran.read_text()) < 20
+
+
+# runs verify in a loop for argv[1] seconds, each run with its own timeout,
+# after which faulthandler prints every thread's stack and exits 1
+_VERIFY_LOOP = """
+import contextlib, faulthandler, io, sys, time
+from chromacount.cli import main
+deadline = time.monotonic() + float(sys.argv[1])
+while time.monotonic() < deadline:
+    faulthandler.dump_traceback_later(20, exit=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(sys.argv[2:])
+    faulthandler.cancel_dump_traceback_later()
+    print(code, repr(err.getvalue()), flush=True)
+"""
+
+
+def test_parallel_verify_error_never_hangs(tmp_path):
+    # a worker killed by terminate() while it sent a result hung the run for
+    # good, in about one run of 500 to 1000 on a 2-core Linux host
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _VERIFY_LOOP, "7", *_late_bad_record_argv(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = proc.stdout.splitlines()
+    assert len(runs) >= 20
+    assert set(runs) == {f"{EXIT_USAGE} {LATE_BAD_RECORD_ERROR!r}"}
 
 
 def test_errors_survive_pickling():
