@@ -305,6 +305,8 @@ def lemma_opt_bound(values: Sequence, a, delta) -> LemmaBound:
 
 def _binomial_sum(n: int, k: int) -> int:
     # sum of C(n, i) for 0 <= i <= k, by C(n, i+1) = C(n, i) * (n - i) / (i + 1)
+    if k >= n:
+        return 1 << n  # every subset
     total = term = 1
     for i in range(k):
         term = term * (n - i) // (i + 1)

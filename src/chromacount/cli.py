@@ -34,7 +34,7 @@ from .graphs import (
     write_graph6,
 )
 from .kdd import eta, m_count
-from .verdicts import Verdict, _eps_fraction, alon_kahn_verdict, alpha_admitted, conjecture_verdict, constrained_scan, hom_conjecture_verdict, reference_bound
+from .verdicts import Verdict, _eps_fraction, _regular_degree, alon_kahn_verdict, alpha_admitted, conjecture_verdict, constrained_scan, hom_conjecture_verdict, reference_bound
 # a module that only some subcommands run (certificates, records) is imported
 # inside them, so that the others neither load nor compile it
 
@@ -346,7 +346,9 @@ def cmd_verify(args) -> int:
 def cmd_certificate(args) -> int:
     from .certificates import build_certificate, phi, verify_certificate
 
-    graphs = list(_graphs(args.graph))
+    # two records tell "exactly one" apart; the rest is never read
+    with contextlib.closing(_records(args.graph)) as records:
+        graphs = list(itertools.starmap(_parse, itertools.islice(records, 2)))
     if len(graphs) != 1:
         raise InvalidParameterError("--graph must supply exactly one graph")
     g = graphs[0]
@@ -390,6 +392,16 @@ def cmd_certificate(args) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
+def _matching(path: str, n: int, d: int) -> Iterator[Graph]:
+    """The graphs of `path`, each checked against --n/--d as it is parsed."""
+    for line, record in _records(path):
+        g = _parse(line, record)
+        dg = _regular_degree(g, min_d=0)
+        if (g.n, dg) != (n, d):
+            raise InvalidParameterError(f"line {line}: graph ({g.n},{dg}) does not match --n/--d ({n},{d})")
+        yield g
+
+
 def cmd_scan(args) -> int:
     from .records import RecordStore
 
@@ -402,19 +414,17 @@ def cmd_scan(args) -> int:
         if not args.graphs:
             raise InvalidParameterError("--source file requires --graphs")
         # a generator too: no record is parsed before --q and --eps pass
-        family = _graphs(args.graphs)
+        family = _matching(args.graphs, args.n, args.d)
     result = constrained_scan(family, args.q, args.eps)
-    n_val = result.n if result.family_size else args.n
-    d_val = result.d if result.family_size else args.d
     records = [
-        {"type": "scan-row", "graph6": r.graph6, "n": result.n, "d": result.d, "q": args.q, "alpha": r.alpha, "value": str(r.count)}
+        {"type": "scan-row", "graph6": r.graph6, "n": args.n, "d": args.d, "q": args.q, "alpha": r.alpha, "value": str(r.count)}
         for r in result.rows
     ]
     records.append(
         {
             "type": "scan-max",
-            "n": n_val,
-            "d": d_val,
+            "n": args.n,
+            "d": args.d,
             "q": args.q,
             "eps": str(result.eps),
             "family_size": result.family_size,
@@ -426,7 +436,7 @@ def cmd_scan(args) -> int:
     if store is not None:
         # against the store as it is now, not as it was read before the scan
         with store.locked():
-            improved = store.update(n_val, d_val, args.q, str(result.eps), result.max_count, result.argmax)
+            improved = store.update(args.n, args.d, args.q, str(result.eps), result.max_count, result.argmax)
             store.save()
         records[-1]["record_improved"] = improved
     _emit(records, args.out)
@@ -450,6 +460,9 @@ def cmd_bounds(args) -> int:
 
     eps = None if args.eps is None else _eps_fraction(args.eps)
     ref = reference_bound(args.n, args.d, args.q)
+    if args.n < args.d + 1:
+        # no such family at any q; explicit_weak_bound refuses it too
+        raise InvalidParameterError("n must be at least d+1")
     weak = explicit_weak_bound(args.n, args.d, args.q) if args.q >= 3 else None
     weak_eps = explicit_weak_bound(args.n, args.d, args.q, eps) if (weak is not None and eps is not None) else None
     head = {

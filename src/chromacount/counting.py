@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Sequence
 
 from .errors import CapExceededError, InvalidParameterError
-from .graphs import Graph, TargetGraph, complete_target, vertices_of
+from .graphs import Graph, TargetGraph, bfs, complete_target
 
 # Live states allowed in one step of any frontier pass; a step holds two
 # tables.  When CapExceededError was raised (Python 3.11), over-cap colouring
@@ -43,20 +43,9 @@ BACKTRACK_NODE_CAP = 100_000_000
 
 
 def _bfs_order(g: Graph) -> tuple[list[int], list[int]]:
-    # the vertex order of every pass and each vertex's position in it: BFS
-    # from vertex 0, restarting at the smallest unvisited vertex, each
-    # vertex's new neighbours queued in increasing order
-    order: list[int] = []
-    unseen = (1 << g.n) - 1
-    while unseen:
-        start = unseen & -unseen
-        unseen ^= start
-        queue = [start.bit_length() - 1]
-        for u in queue:  # the loop reaches the vertices queued on the way
-            fresh = g.rows[u] & unseen
-            unseen ^= fresh
-            queue += vertices_of(fresh)
-        order += queue
+    # the vertex order of every pass (graphs.bfs over all of g) and each
+    # vertex's position in it
+    order = bfs(g.rows, (1 << g.n) - 1)[0]
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i

@@ -227,47 +227,43 @@ class Classification:
 
 
 def classify(g: Graph) -> Classification:
-    """Regularity, bipartiteness (2-coloring search) and component count."""
-    degs = {g.degree(v) for v in range(g.n)} if g.n else set()
-    degree = degs.pop() if len(degs) == 1 else None
-    color = [-1] * g.n
-    bipartite = True
-    components = 0
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        components += 1
-        color[s] = 0
-        queue = [s]
-        while queue:
-            u = queue.pop()
-            for v in g.neighbors(u):
-                if color[v] < 0:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    bipartite = False
-    return Classification(g.n, degree, bipartite, components)
+    """Regularity, bipartiteness and component count.  G is bipartite iff
+    its bipartite double cover, whose vertex v + n mirrors v, has twice as
+    many components as G."""
+    degs = {row.bit_count() for row in g.rows}
+    comps = len(components(g.rows, (1 << g.n) - 1))
+    cover = [r << g.n for r in g.rows] + list(g.rows)
+    bipartite = len(components(cover, (1 << 2 * g.n) - 1)) == 2 * comps
+    return Classification(g.n, degs.pop() if len(degs) == 1 else None, bipartite, comps)
+
+
+def bfs(rows: Sequence[int], mask: int) -> tuple[list[int], list[int]]:
+    """Breadth-first search of the subgraph induced on `mask` (adjacency rows
+    as bit masks): the vertices in queue order, and the vertex masks of the
+    connected components, ordered by least vertex.  Each component's search
+    starts at the least unseen vertex and queues each vertex's new
+    neighbours in increasing order."""
+    order: list[int] = []
+    comps = []
+    unseen = mask
+    while unseen:
+        before = unseen
+        start = unseen & -unseen
+        unseen ^= start
+        queue = [start.bit_length() - 1]
+        for u in queue:  # the loop reaches the vertices queued on the way
+            fresh = rows[u] & unseen
+            unseen ^= fresh
+            queue += vertices_of(fresh)
+        order += queue
+        comps.append(before ^ unseen)
+    return order, comps
 
 
 def components(rows: Sequence[int], mask: int) -> list[int]:
     """Vertex masks of the connected components of the subgraph induced on
     `mask` (adjacency rows as bit masks), ordered by least vertex."""
-    comps = []
-    unseen = mask
-    while unseen:
-        seen = frontier = unseen & -unseen
-        while frontier:
-            nxt = 0
-            while frontier:
-                v = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                nxt |= rows[v]
-            frontier = nxt & mask & ~seen
-            seen |= frontier
-        comps.append(seen)
-        unseen &= ~seen
-    return comps
+    return bfs(rows, mask)[1]
 
 
 def induced_subgraph(g: Graph, s: int) -> Graph:

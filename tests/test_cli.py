@@ -552,9 +552,20 @@ def test_bounds_large_n_is_finite(capsys):
         assert math.isfinite(head["reference_log2"]) and math.isfinite(head["weak_bound_log2"])
 
 
-def test_bounds_domain_error(capsys):
-    code, _ = run(capsys, ["bounds", "--n", "2", "--d", "3", "--q", "3"])
-    assert code == EXIT_USAGE
+def test_bounds_domain_error(capsys, monkeypatch):
+    from chromacount import certificates
+
+    def weak(*args):
+        raise AssertionError("a weak bound was computed for a family that cannot exist")
+
+    # no d-regular graph has n <= d vertices, at any q; at q >= 3 too the
+    # check comes before the weak bound's work
+    monkeypatch.setattr(certificates, "explicit_weak_bound", weak)
+    for n, d in (("2", "3"), ("3", "3"), ("1", "1")):
+        for q in ("2", "3", "4"):
+            code = main(["bounds", "--n", n, "--d", d, "--q", q])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (EXIT_USAGE, "", "error: n must be at least d+1\n"), (n, d, q)
 
 
 def test_usage_errors(capsys):
@@ -1031,14 +1042,23 @@ def _corpus_argvs(path):
     ],
 )
 def test_graph6_error_names_its_line(tmp_path, capsys, monkeypatch, data, message):
+    from chromacount.cli import _records
+
     started = _spy_pool(monkeypatch)
     path = tmp_path / "bad.g6"
     path.write_bytes(data)
+    # certificate reads no record past the second: a bad third record is
+    # never parsed, and the corpus is refused as more than one graph
+    bad_line = int(message.split()[2].rstrip(":"))
+    past_two = [line for line, _ in _records(str(path))].index(bad_line) >= 2
     for argv in _corpus_argvs(str(path)):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == EXIT_USAGE and captured.out == "", argv
-        assert captured.err == message + "\n", argv
+        if argv[0] == "certificate" and past_two:
+            assert captured.err == "error: --graph must supply exactly one graph\n"
+        else:
+            assert captured.err == message + "\n", argv
     # --jobs 2 ran its records in a real pool, and said what --jobs 1 said
     assert started == [2]
 
@@ -1047,8 +1067,9 @@ def test_stdin_decodes_as_files_do(tmp_path, capsys, monkeypatch):
     import io as _io
 
     # stdin's own codec (here UTF-8, whatever the locale) is not used: a byte
-    # that is not ASCII is named as the same bytes in a file name it
-    data = b"Cr\n\xff\n"
+    # that is not ASCII is named as the same bytes in a file name it.  Line 1
+    # is K_4, which matches the --n/--d that scan and bounds are given.
+    data = b"C~\n\xff\n"
     message = "error: line 2: non-ASCII byte (byte offset 0)\n"
     path = tmp_path / "bad.g6"
     path.write_bytes(data)
@@ -1242,6 +1263,10 @@ COMMAND_INPUT_ERRORS = {
         lambda tmp_path: ["certificate", "--graph", _one_graph(tmp_path), "--q", "3", "--indset", ","],
         "error: --indset names no vertex",
     ),
+    "scan-file-of-other-n-d": (
+        lambda tmp_path: ["scan", "--n", "6", "--d", "2", "--q", "3", "--source", "file", "--graphs", write_g6(tmp_path, "k4.g6", [complete(4)])],
+        "error: line 1: graph (4,3) does not match --n/--d (6,2)",
+    ),
     "scan-file-without-graphs": (
         lambda tmp_path: ["scan", "--n", "6", "--d", "3", "--q", "3", "--source", "file"],
         "error: --source file requires --graphs",
@@ -1260,6 +1285,40 @@ def test_command_input_error_is_one_line(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert code == EXIT_USAGE and captured.out == ""
     assert captured.err == message + "\n"
+
+
+def test_certificate_parses_at_most_two_records(tmp_path, capsys, monkeypatch):
+    import chromacount.cli as cli
+
+    parsed = []
+    monkeypatch.setattr(cli, "parse_graph6", lambda record, real=cli.parse_graph6: parsed.append(record) or real(record))
+    # line 3 is malformed, but two good records already make the corpus
+    # more than one graph
+    path = tmp_path / "three.g6"
+    path.write_bytes(b"C~\nC~\nC\n")
+    code = main(["certificate", "--graph", str(path), "--q", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (EXIT_USAGE, "", "error: --graph must supply exactly one graph\n")
+    assert parsed == ["C~", "C~"]
+
+
+def test_scan_file_refuses_each_graph_of_other_n_d_as_it_is_parsed(tmp_path, capsys):
+    records = tmp_path / "records.json"
+    path = tmp_path / "k4.g6"
+    # line 2 is malformed: line 1 is refused before line 2 is read
+    path.write_bytes(b"C~\nC\n")
+    for n, d in (("6", "2"), ("4", "2"), ("6", "3")):
+        argv = ["scan", "--n", n, "--d", d, "--q", "3", "--source", "file", "--graphs", str(path), "--records", str(records)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, ""), argv
+        assert captured.err == f"error: line 1: graph (4,3) does not match --n/--d ({n},{d})\n", argv
+        assert not records.exists()
+    # a graph that is not regular is still refused as such
+    irregular = write_g6(tmp_path, "k4e.g6", [k4_minus_edge()])
+    code = main(["scan", "--n", "4", "--d", "2", "--q", "3", "--source", "file", "--graphs", irregular])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (EXIT_USAGE, "", "error: graph is not regular\n")
 
 
 @pytest.mark.parametrize("eps", [-0.1, 1.5])

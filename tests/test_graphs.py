@@ -1,7 +1,7 @@
 import hashlib
 import random
 import time
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -30,7 +30,7 @@ from chromacount import (
     write_graph6,
 )
 from chromacount import count_homomorphisms, graphs
-from chromacount.graphs import _blocks, _is_canonical_prefix, _pack_blocks, components
+from chromacount.graphs import _blocks, _is_canonical_prefix, _pack_blocks, bfs, components
 
 from helpers import (
     k4_minus_edge,
@@ -473,6 +473,17 @@ def test_random_regular_helper_is_regular():
         assert classify(g).degree == 4
 
 
+def _check_classify(nx, g):
+    ng = nx.Graph()
+    ng.add_nodes_from(range(g.n))
+    ng.add_edges_from(g.edges())
+    degrees = {deg for _, deg in ng.degree()}
+    c = classify(g)
+    assert c.degree == (degrees.pop() if len(degrees) == 1 else None)
+    assert c.bipartite == nx.is_bipartite(ng)
+    assert c.components == nx.number_connected_components(ng)
+
+
 def test_components_match_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(11)
@@ -490,6 +501,19 @@ def test_components_match_networkx():
             assert sorted(comps) == expected
             # ordered by least vertex
             assert comps == sorted(comps, key=lambda c: c & -c)
+            # the shared search: each component is one run of its queue order
+            order, masks = bfs(g.rows, mask)
+            assert masks == comps
+            runs = [sum(c.bit_count() for c in comps[:i]) for i in range(len(comps) + 1)]
+            assert [mask_of(order[a:b]) for a, b in zip(runs, runs[1:])] == comps
+            assert len(order) == mask.bit_count()
+        _check_classify(nx, g)
+    # every labelled graph with n <= 5, and the graph with no vertex
+    _check_classify(nx, Graph(0, ()))
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            _check_classify(nx, from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1]))
     # isolated vertices are components of their own
     assert components(from_edges(4, [(1, 2)]).rows, 0b1111) == [0b0001, 0b0110, 0b1000]
     assert components(complete(3).rows, 0) == []
