@@ -13,7 +13,7 @@ _EXPORTS = {
         (
             "Certificate", "CertificateReport", "DProfile", "LemmaBound", "build_certificate", "compatible_count",
             "container_size_cap", "d_profile", "explicit_weak_bound", "lemma_opt_bound", "phi", "refined_bound",
-            "verify_certificate",
+            "threshold", "verify_certificate",
         ),
         "certificates",
     ),

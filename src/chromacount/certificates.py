@@ -4,10 +4,12 @@ forbidden-interval product lemma, and a fully explicit upper bound on the
 number of proper q-colorings of any n-vertex d-regular graph.
 
 The certificate for an independent set I grows a seed set T greedily: while
-some u in I adds at least phi new neighbors, the least such u joins T.  The
-container D collects every vertex outside N(T) with fewer than phi neighbors
-outside N(T).  Then |T| <= n/phi, I is a subset of D, and
-|D| <= n*d/(2d - phi).
+some u in I adds at least t new neighbors, the least such u joins T.  The
+container D collects every vertex outside N(T) with fewer than t neighbors
+outside N(T).  Then |T| <= n/t, I is a subset of D, and
+|D| <= n*d/(2d - t + 1).  The paper's threshold phi = sqrt(d log2 d)/q enters
+only as the integer t = threshold(d, q) = ceil(phi): for an integer x,
+x >= phi exactly when x >= t, so every decision is an integer test.
 """
 from __future__ import annotations
 
@@ -21,38 +23,52 @@ from .errors import InvalidParameterError
 from .graphs import Graph, induced_subgraph, vertices_of
 from .verdicts import _eps_fraction, _regular_degree
 
-# comparison margin for integer-vs-real threshold tests; cardinalities are
-# integers and phi is irrational except at rare powers of two, so this only
-# documents intent
-COMPARE_EPS = 1e-12
 
-
-def phi(d: int, q: int) -> float:
-    """sqrt(d * log2(d)) / q; always below d on its domain."""
+def _check_dq(d: int, q: int) -> None:
     if d < 2:
         raise InvalidParameterError("d must be at least 2 (log2(1) = 0 degenerates)")
     if q < 2:
         raise InvalidParameterError("q must be at least 2")
+
+
+def phi(d: int, q: int) -> float:
+    """sqrt(d * log2(d)) / q, for display only; always below d on its domain."""
+    _check_dq(d, q)
     value = math.sqrt(d * math.log2(d)) / q
     assert value < d
     return value
 
 
+def threshold(d: int, q: int) -> int:
+    """ceil(phi(d, q)), exactly: the least integer t with 2^((q*t)^2) >= d^d."""
+    _check_dq(d, q)
+    k = (d**d - 1).bit_length()  # the least k with 2^k >= d^d
+    return -(-(math.isqrt(k - 1) + 1) // q)  # the least t with (q*t)^2 >= k
+
+
+def _check_threshold(t: int) -> None:
+    # a float here is a stale phi: it must not decide anything
+    if not isinstance(t, int) or t < 1:
+        raise InvalidParameterError(f"threshold must be an int >= 1, got {t!r}")
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Greedy seed set T, container D, the source independent set, the
-    threshold phi, and the growth trace [(u, new-neighbor count), ...]."""
+    integer threshold t, and the growth trace [(u, new-neighbor count), ...]."""
 
     t_mask: int
     d_mask: int
     source_mask: int
-    phi: float
+    threshold: int
     trace: tuple[tuple[int, int], ...]
 
 
-def build_certificate(g: Graph, indset: int, phi_value: float) -> Certificate:
+def build_certificate(g: Graph, indset: int, t: int) -> Certificate:
     """Run the greedy construction for the independent set `indset` (a bit
-    mask).  Deterministic: ties break toward the least vertex index."""
+    mask) at the integer threshold t.  Deterministic: ties break toward the
+    least vertex index."""
+    _check_threshold(t)
     _regular_degree(g, 1)
     full = (1 << g.n) - 1
     if indset == 0:
@@ -71,7 +87,7 @@ def build_certificate(g: Graph, indset: int, phi_value: float) -> Certificate:
         gain = 0
         for u in vertices_of(indset):
             new = (g.rows[u] & ~nt).bit_count()
-            if new >= phi_value - COMPARE_EPS:
+            if new >= t:
                 chosen, gain = u, new
                 break
         if chosen < 0:
@@ -85,16 +101,16 @@ def build_certificate(g: Graph, indset: int, phi_value: float) -> Certificate:
         if (nt >> v) & 1:
             continue
         outside = (g.rows[v] & ~nt).bit_count()
-        if outside < phi_value - COMPARE_EPS:
+        if outside < t:
             d_mask |= 1 << v
-    return Certificate(t_mask, d_mask, indset, phi_value, tuple(trace))
+    return Certificate(t_mask, d_mask, indset, t, tuple(trace))
 
 
 @dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
-    slack: float
+    slack: int
 
 
 @dataclass(frozen=True)
@@ -110,48 +126,32 @@ class CertificateReport:
 
 
 def verify_certificate(g: Graph, cert: Certificate) -> CertificateReport:
-    """Re-derive every certificate invariant with numeric slacks, plus the
-    edge-counting sandwich (d - phi)|D| <= e(D, N(T)) <= d(n - |D|)."""
+    """Re-derive every certificate invariant as an integer test, plus the
+    edge-counting sandwich (d - t + 1)|D| <= e(D, N(T)) <= d(n - |D|).  Each
+    slack is an integer, >= 0 exactly when its check passes: an inequality's
+    margin, or minus the number of vertices a membership check finds out of
+    place."""
     d = _regular_degree(g, 1)
     n = g.n
-    p = cert.phi
+    t = cert.threshold
     nt = 0
     for u in vertices_of(cert.t_mask):
         nt |= g.rows[u]
-    t_size = cert.t_mask.bit_count()
     d_size = cert.d_mask.bit_count()
-
-    checks = []
-    checks.append(
-        CheckResult("t_in_source", (cert.t_mask & ~cert.source_mask) == 0,
-                    float((cert.t_mask & ~cert.source_mask).bit_count()))
-    )
-    checks.append(CheckResult("t_size", t_size <= n / p + COMPARE_EPS, n / p - t_size))
-    checks.append(
-        CheckResult("source_in_d", (cert.source_mask & ~cert.d_mask) == 0,
-                    float((cert.source_mask & ~cert.d_mask).bit_count()))
-    )
-    d_bound = n * d / (2 * d - p)
-    checks.append(CheckResult("d_size", d_size <= d_bound + COMPARE_EPS, d_bound - d_size))
-    checks.append(
-        CheckResult("d_avoids_nt", (cert.d_mask & nt) == 0, float((cert.d_mask & nt).bit_count()))
-    )
-    small_outside = True
-    worst = math.inf
-    for v in vertices_of(cert.d_mask):
-        outside = (g.rows[v] & ~nt).bit_count()
-        worst = min(worst, p - outside)
-        if outside >= p - COMPARE_EPS:
-            small_outside = False
-    checks.append(
-        CheckResult("d_members_small_outside", small_outside, 0.0 if math.isinf(worst) else worst)
-    )
+    outside = [(g.rows[v] & ~nt).bit_count() for v in vertices_of(cert.d_mask)]
     edges_d_nt = sum((g.rows[v] & nt).bit_count() for v in vertices_of(cert.d_mask))
-    lower = (d - p) * d_size
-    upper = d * (n - d_size)
-    checks.append(CheckResult("edge_count_lower", edges_d_nt >= lower - COMPARE_EPS, edges_d_nt - lower))
-    checks.append(CheckResult("edge_count_upper", edges_d_nt <= upper + COMPARE_EPS, upper - edges_d_nt))
-    return CertificateReport(tuple(checks), all(c.passed for c in checks))
+    slacks = {
+        "t_in_source": -(cert.t_mask & ~cert.source_mask).bit_count(),
+        "t_size": n - cert.t_mask.bit_count() * t,
+        "source_in_d": -(cert.source_mask & ~cert.d_mask).bit_count(),
+        "d_size": n * d - d_size * (2 * d - t + 1),
+        "d_avoids_nt": -(cert.d_mask & nt).bit_count(),
+        "d_members_small_outside": t - 1 - max(outside, default=t - 1),
+        "edge_count_lower": edges_d_nt - (d - t + 1) * d_size,
+        "edge_count_upper": d * (n - d_size) - edges_d_nt,
+    }
+    checks = tuple(CheckResult(name, slack >= 0, slack) for name, slack in slacks.items())
+    return CertificateReport(checks, all(c.passed for c in checks))
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +184,17 @@ def _profile_from_sets(n: int, d_sets: Sequence[int]) -> DProfile:
     return DProfile(tuple(d_sets), tuple(mult), prod, sum(mult))
 
 
-def container_size_cap(n: int, d: int, phi_value: float) -> int:
-    """Largest integer container size allowed by |D| <= n*d/(2d - phi)."""
-    return min(n, math.floor(n * d / (2 * d - phi_value) + COMPARE_EPS))
+def container_size_cap(n: int, d: int, t: int) -> int:
+    """Largest container size allowed by |D|*(2d - t + 1) <= n*d."""
+    _check_threshold(t)
+    # a threshold above d bounds nothing: the divisor d then gives n
+    return min(n, n * d // max(2 * d - t + 1, d))
 
 
-def d_profile(g: Graph, coloring: Sequence[int], q: int, phi_value: float) -> DProfile:
-    """Containers of the color classes of a proper coloring (values 1..q).
-    An empty class gets the deterministic completion: the first
-    container_size_cap(n, d, phi) vertices."""
+def d_profile(g: Graph, coloring: Sequence[int], q: int, t: int) -> DProfile:
+    """Containers of the color classes of a proper coloring (values 1..q) at
+    the integer threshold t.  An empty class gets the deterministic
+    completion: the first container_size_cap(n, d, t) vertices."""
     n = g.n
     if q < 1:
         raise InvalidParameterError("q must be at least 1")
@@ -205,7 +207,7 @@ def d_profile(g: Graph, coloring: Sequence[int], q: int, phi_value: float) -> DP
         if coloring[u] == coloring[v]:
             raise InvalidParameterError(f"coloring is not proper at edge ({u},{v})")
     d = _regular_degree(g, 1)
-    completion = (1 << container_size_cap(n, d, phi_value)) - 1
+    completion = (1 << container_size_cap(n, d, t)) - 1
     d_sets = []
     for k in range(1, q + 1):
         class_mask = 0
@@ -213,7 +215,7 @@ def d_profile(g: Graph, coloring: Sequence[int], q: int, phi_value: float) -> DP
             if coloring[v] == k:
                 class_mask |= 1 << v
         if class_mask:
-            d_sets.append(build_certificate(g, class_mask, phi_value).d_mask)
+            d_sets.append(build_certificate(g, class_mask, t).d_mask)
         else:
             d_sets.append(completion)
     return _profile_from_sets(n, d_sets)
@@ -225,27 +227,31 @@ def compatible_count(profile: DProfile) -> int:
     return profile.product
 
 
-def refined_bound(g: Graph, profile: DProfile, q: int) -> Fraction:
-    """Upper bound on proper colorings compatible with the profile: choose a
-    container of size >= n/2 (padding the largest one deterministically with
-    the smallest missing vertices if none qualifies), take the greedy maximal
-    matching M of the induced subgraph, and return
-    (prod a_v) * (1 - 1/q^2)^|M| exactly."""
-    if q < 2:
-        raise InvalidParameterError("q must be at least 2")
-    n = g.n
+def _padded(n: int, profile: DProfile) -> tuple[DProfile, int]:
+    """The profile with its largest container (the first of equal ones)
+    padded with the smallest missing vertices up to ceil(n/2) vertices, and
+    that container."""
     half = (n + 1) // 2
     sizes = [dk.bit_count() for dk in profile.d_sets]
     k = max(range(len(sizes)), key=lambda i: (sizes[i], -i))
     chosen = profile.d_sets[k]
     if sizes[k] < half:
-        for v in range(n):
-            if chosen.bit_count() >= half:
-                break
+        for v in vertices_of(((1 << n) - 1) & ~chosen)[: half - sizes[k]]:
             chosen |= 1 << v
         padded = list(profile.d_sets)
         padded[k] = chosen
         profile = _profile_from_sets(n, padded)
+    return profile, chosen
+
+
+def refined_bound(g: Graph, profile: DProfile, q: int) -> Fraction:
+    """Upper bound on proper colorings compatible with the profile: take the
+    container of size >= n/2 that _padded chooses, the greedy maximal
+    matching M of the subgraph it induces, and return
+    (prod a_v) * (1 - 1/q^2)^|M| exactly."""
+    if q < 2:
+        raise InvalidParameterError("q must be at least 2")
+    profile, chosen = _padded(g.n, profile)
     matching = greedy_maximal_matching(induced_subgraph(g, chosen))
     return Fraction(profile.product) * Fraction(q * q - 1, q * q) ** len(matching)
 
@@ -315,13 +321,29 @@ def _binomial_sum(n: int, k: int) -> int:
 
 
 def _sqrt_upper(x: Fraction) -> Fraction:
-    # rational upper bound on sqrt(x) for x >= 0
-    num, den = x.numerator, x.denominator
-    r = math.isqrt(num)
-    if r * r < num:
-        r += 1
-    s = math.isqrt(den)  # floor: shrinking the denominator only enlarges
-    return Fraction(r, max(s, 1))
+    # rational upper bound on sqrt(x) for x >= 0, exact when x is a square of
+    # a rational and within a factor 1 + 2^-64 otherwise:
+    # sqrt(x) = sqrt(num * den * 4^64) / (den * 2^64)
+    y = x.numerator * x.denominator << 128
+    r = math.isqrt(y)
+    return Fraction(r + (r * r < y), x.denominator << 64)
+
+
+def _sum_cap(n: int, d: int, q: int, t: int) -> int:
+    # q containers of at most container_size_cap vertices, one padded up to
+    # ceil(n/2) by _padded: a bound on the sum of the multiplicities
+    return q * max(container_size_cap(n, d, t), (n + 1) // 2)
+
+
+def _product_cap(a: Fraction, n: int) -> Fraction:
+    """Upper bound on the product of n positive integers with sum at most
+    n*a, for a >= 1: (a^2 - rho^2)^(n/2), rho the distance from a to the
+    nearest integer."""
+    # the balanced floor(a)/ceil(a) vector has the largest product; none of
+    # its values lies inside (a - rho, a + rho), so lemma_opt_bound applies
+    rho = min(a - math.floor(a), math.ceil(a) - a)
+    base = a * a - rho * rho
+    return base ** (n // 2) * (_sqrt_upper(base) if n % 2 else 1)
 
 
 def explicit_weak_bound(n: int, d: int, q: int, eps=None) -> Fraction:
@@ -330,13 +352,13 @@ def explicit_weak_bound(n: int, d: int, q: int, eps=None) -> Fraction:
     independent set has at most (n/2)(1-eps) vertices).
 
     The bound is
-        [sum_{i <= floor(n/phi)} C(n,i)]^q  *  B  *  (1 - 1/q^2)^ceil(n*eps/4)
-    with S = min(q*n, q*ceil(n*d/(2d-phi))) and B = (S/n)^n for even q; for
-    odd q the multiplicities are integers whose mean lies between q/2 and
-    S/n, so B tightens to ((S/n)^2 - delta^2)^(n/2) with
-    delta = (1/2)(1 - sqrt(log2(d)/d)) clamped into the range where the
-    integer gap argument stays valid.  The returned Fraction is an exact
-    certified upper bound (irrational intermediates are rounded upward).
+        [sum_{i <= n // t} C(n,i)]^q  *  B  *  (1 - 1/q^2)^ceil(n*eps/4)
+    with t = threshold(d, q): each container is fixed by a seed set of at
+    most n/t vertices.  The multiplicities of a padded profile are positive
+    integers with sum at most S = _sum_cap(n, d, q, t), and B bounds their
+    product: B = _product_cap(S/n, n).  At S/n = q/2 that is eta(q)^(n/2).
+    The returned Fraction is an exact certified upper bound (the square root
+    of a non-square for odd n is rounded upward).
     """
     if d < 2:
         raise InvalidParameterError("d must be at least 2")
@@ -346,30 +368,8 @@ def explicit_weak_bound(n: int, d: int, q: int, eps=None) -> Fraction:
         raise InvalidParameterError("q must be at least 3")
     eps_frac = None if eps is None else _eps_fraction(eps)
 
-    p = phi(d, q)
-    i_cap = min(n, math.floor(n / p + COMPARE_EPS))
-    binsum = _binomial_sum(n, i_cap)
-
-    size_cap = math.ceil(n * d / (2 * d - p) - COMPARE_EPS)
-    s_total = min(q * n, q * size_cap)
-    a = Fraction(s_total, n)
-
-    if q % 2 == 0:
-        b_factor = a ** n
-    else:
-        delta = 0.5 * (1.0 - math.sqrt(math.log2(d) / d))
-        # the no-integer-in-(mean-delta, mean+delta) argument needs the mean
-        # to stay at least delta away from ceil(q/2); shrink delta to keep it
-        room = Fraction((q + 1) // 2) - a
-        delta_r = Fraction(math.floor(max(delta, 0.0) * 10**12), 10**12)
-        delta_r = max(Fraction(0), min(delta_r, room))
-        base = a * a - delta_r * delta_r
-        if n % 2 == 0:
-            b_factor = base ** (n // 2)
-        else:
-            b_factor = _sqrt_upper(base ** n)
-
-    out = Fraction(binsum) ** q * b_factor
+    t = threshold(d, q)
+    out = Fraction(_binomial_sum(n, n // t)) ** q * _product_cap(Fraction(_sum_cap(n, d, q, t), n), n)
     if eps_frac is not None and eps_frac > 0:
         exponent = math.ceil(Fraction(n) * eps_frac / 4)
         out *= Fraction(q * q - 1, q * q) ** exponent

@@ -344,7 +344,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_certificate(args) -> int:
-    from .certificates import build_certificate, phi, verify_certificate
+    from .certificates import build_certificate, phi, threshold, verify_certificate
 
     # two records tell "exactly one" apart; the rest is never read
     with contextlib.closing(_records(args.graph)) as records:
@@ -367,8 +367,7 @@ def cmd_certificate(args) -> int:
         if any(not 0 <= v < g.n for v in verts):
             raise InvalidParameterError("--indset vertices out of range")
         indset = mask_of(verts)
-    p = phi(cls.degree, args.q)
-    cert = build_certificate(g, indset, p)
+    cert = build_certificate(g, indset, threshold(cls.degree, args.q))
     report = verify_certificate(g, cert)
     rec = {
         "type": "certificate",
@@ -376,7 +375,7 @@ def cmd_certificate(args) -> int:
         "n": g.n,
         "d": cls.degree,
         "q": args.q,
-        "phi": p,
+        "phi": phi(cls.degree, args.q),
         "indset": vertices_of(cert.source_mask),
         "t": vertices_of(cert.t_mask),
         "d_set": vertices_of(cert.d_mask),

@@ -26,7 +26,7 @@ from chromacount import (
     induced_subgraph,
     lemma_opt_bound,
     mask_of,
-    phi,
+    threshold,
     verify_certificate,
 )
 from chromacount.certificates import _profile_from_sets
@@ -127,13 +127,13 @@ def _nonempty_independent_sets(g):
                 yield mask_of(subset)
 
 
-def _assert_certificate(g, d, indset, p, n):
-    cert = build_certificate(g, indset, p)
+def _assert_certificate(g, d, indset, t, n):
+    cert = build_certificate(g, indset, t)
     rep = verify_certificate(g, cert)
     assert rep.passed, [c for c in rep.checks if not c.passed]
-    assert cert.t_mask.bit_count() <= n / p + 1e-9
+    assert cert.t_mask.bit_count() * t <= n
     assert cert.source_mask & ~cert.d_mask == 0
-    assert cert.d_mask.bit_count() <= n * d / (2 * d - p) + 1e-9
+    assert cert.d_mask.bit_count() * (2 * d - t + 1) <= n * d
     assert rep.check("edge_count_lower").passed and rep.check("edge_count_upper").passed
 
 
@@ -143,9 +143,9 @@ def test_criterion_6_certificate_invariants():
         if g.n > 8 or d < 2:
             continue
         for q in (3, 4, 5):
-            p = phi(d, q)
+            t = threshold(d, q)
             for indset in _nonempty_independent_sets(g):
-                _assert_certificate(g, d, indset, p, g.n)
+                _assert_certificate(g, d, indset, t, g.n)
                 exhaustive += 1
     rng = random.Random(60)
     randomized = 0
@@ -155,7 +155,7 @@ def test_criterion_6_certificate_invariants():
         g = random_regular(n, d, rng)
         q = rng.choice([3, 4, 5])
         indset = random_maximal_independent_set(g, rng)
-        _assert_certificate(g, d, indset, phi(d, q), n)
+        _assert_certificate(g, d, indset, threshold(d, q), n)
         randomized += 1
     report(6, f"invariants + edge sandwich on {exhaustive} exhaustive small instances and {randomized} random ones (n<=60, d in 3..8)")
 
@@ -236,7 +236,7 @@ def test_criterion_9_matching_lower_bound():
         eps = Fraction(1) - Fraction(2 * alpha, n)  # tight: alpha = (n/2)(1-eps)
         for q in (3, 4, 5):
             for coloring in _proper_colorings(g, q, limit=3):
-                prof = d_profile(g, coloring, q, phi(d, q))
+                prof = d_profile(g, coloring, q, threshold(d, q))
                 for dk in prof.d_sets:
                     if 2 * dk.bit_count() >= n:
                         matching = greedy_maximal_matching(induced_subgraph(g, dk))

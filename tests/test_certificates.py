@@ -14,6 +14,7 @@ from chromacount import (
     compatible_count,
     container_size_cap,
     count_colorings,
+    count_colorings_kdd,
     cycle,
     d_profile,
     explicit_weak_bound,
@@ -22,10 +23,11 @@ from chromacount import (
     mask_of,
     phi,
     refined_bound,
+    threshold,
     verify_certificate,
     vertices_of,
 )
-from chromacount.certificates import DProfile, _profile_from_sets
+from chromacount.certificates import CheckResult, DProfile, _padded, _product_cap, _profile_from_sets, _sum_cap
 
 from helpers import brute_compatible_partitions, brute_compatible_proper, random_maximal_independent_set, random_regular
 
@@ -56,11 +58,39 @@ def test_phi_below_d():
             assert phi(d, q) < d
 
 
+def test_threshold_is_least_integer_at_or_above_phi():
+    # in exact ints: x >= phi(d, q) exactly when 2^((q*x)^2) >= d^d
+    for d in range(2, 301):
+        dd = d**d
+        for q in range(2, 13):
+            t = threshold(d, q)
+            assert 1 <= t <= d
+            assert 2 ** ((q * t) ** 2) >= dd, (d, q)
+            assert t == 1 or 2 ** ((q * (t - 1)) ** 2) < dd, (d, q)
+            assert t - 1 < phi(d, q) <= t
+    with pytest.raises(InvalidParameterError):
+        threshold(1, 3)
+    with pytest.raises(InvalidParameterError):
+        threshold(4, 1)
+
+
+def test_threshold_rejects_non_integers():
+    # a stale caller that still passes the float phi must fail loudly
+    g = cycle(6)
+    for bad in (phi(2, 3), 1.0, 0, -2, Fraction(1), "1", None):
+        with pytest.raises(InvalidParameterError, match="threshold must be an int >= 1"):
+            build_certificate(g, mask_of([0, 3]), bad)
+        with pytest.raises(InvalidParameterError, match="threshold must be an int >= 1"):
+            d_profile(g, [1, 2, 1, 2, 1, 2], 3, bad)
+        with pytest.raises(InvalidParameterError, match="threshold must be an int >= 1"):
+            container_size_cap(6, 2, bad)
+
+
 def test_certificate_on_kdd_side():
     for d in (2, 3, 4):
         g = complete_bipartite(d, d)
         side = (1 << d) - 1
-        cert = build_certificate(g, side, phi(d, 3))
+        cert = build_certificate(g, side, threshold(d, 3))
         assert cert.t_mask == 1  # first vertex of the side
         assert cert.d_mask == side
         assert verify_certificate(g, cert).passed
@@ -68,36 +98,47 @@ def test_certificate_on_kdd_side():
 
 def test_certificate_invariants_exhaustive_c6():
     g = cycle(6)
-    p = phi(2, 3)
+    t = threshold(2, 3)
     for indset in all_independent_sets(g):
-        cert = build_certificate(g, indset, p)
+        cert = build_certificate(g, indset, t)
         report = verify_certificate(g, cert)
         assert report.passed
-        assert cert.t_mask.bit_count() * p <= g.n + 1e-9
+        assert cert.t_mask.bit_count() * t <= g.n
 
 
 def test_certificate_determinism():
     g = cycle(6)
-    a = build_certificate(g, mask_of([0, 2]), phi(2, 3))
-    b = build_certificate(g, mask_of([0, 2]), phi(2, 3))
+    a = build_certificate(g, mask_of([0, 2]), threshold(2, 3))
+    b = build_certificate(g, mask_of([0, 2]), threshold(2, 3))
     assert a == b and a.trace == b.trace
 
 
 def test_certificate_integral_phi_tie_semantics():
-    # a gain exactly equal to phi counts as >= phi during growth and is
-    # therefore excluded from the container's "below phi" test
+    # a gain exactly equal to t counts as >= t during growth, and an outside
+    # count exactly equal to t is excluded from the container's "below t" test
     g = cycle(6)
-    cert = build_certificate(g, mask_of([0]), 1.0)
+    cert = build_certificate(g, mask_of([0]), 1)
     assert cert.t_mask == mask_of([0])
     assert cert.d_mask == mask_of([0])  # vertices 2,3,4 keep >= 1 outside neighbor
 
-    # phi(16, 8) is exactly 1.0; the one-side pattern still holds on K_{16,16}
-    assert phi(16, 8) == 1.0
+    g = cycle(8)
+    cert = build_certificate(g, mask_of([0]), 2)
+    assert cert.trace == ((0, 2),)  # new == t: vertex 0 joins T
+    assert cert.d_mask == mask_of([0, 2, 6])  # outside == t: 3, 4 and 5 stay out of D
+    assert verify_certificate(g, cert).check("d_members_small_outside").slack == 0
+
+    # at d = 16, phi = 8/q is exact: 4, 2 and 1 at q = 2, 4 and 8, and t = phi
     g = complete_bipartite(16, 16)
     side = (1 << 16) - 1
-    cert = build_certificate(g, side, phi(16, 8))
-    assert cert.t_mask == 1 and cert.d_mask == side
-    assert verify_certificate(g, cert).passed
+    for q in (2, 4, 8):
+        assert phi(16, q) == 8 // q == threshold(16, q)
+        cert = build_certificate(g, side, threshold(16, q))
+        assert cert.t_mask == 1 and cert.d_mask == side
+        assert verify_certificate(g, cert).passed
+    # a vertex of the other side has 16 outside neighbors at T = {}: at
+    # t = 16 it is left out of D, at t = 17 it joins
+    assert build_certificate(g, side, 16).d_mask == side
+    assert build_certificate(g, mask_of([0]), 17).d_mask == (1 << 32) - 1
 
 
 def test_profile_soundness_exhaustive_small():
@@ -110,46 +151,46 @@ def test_profile_soundness_exhaustive_small():
     for g, d in regular_corpus():
         if g.n > 6 or d < 2:
             continue
-        p = phi(d, 3)
-        cap = 3 * g.n * d / (2 * d - p)
+        t = threshold(d, 3)
+        cap = 3 * container_size_cap(g.n, d, t)
         edges = g.edges()
         for assignment in iproduct((1, 2, 3), repeat=g.n):
             if any(assignment[u] == assignment[v] for u, v in edges):
                 continue
-            prof = d_profile(g, list(assignment), 3, p)
+            prof = d_profile(g, list(assignment), 3, t)
             for k in (1, 2, 3):
                 class_mask = mask_of([v for v in range(g.n) if assignment[v] == k])
                 assert class_mask & ~prof.d_sets[k - 1] == 0
-            assert prof.total <= cap + 1e-9
+            assert prof.total <= cap
             assert prof.product >= 1
 
 
 def test_certificate_input_validation():
     g = complete_bipartite(2, 2)
     with pytest.raises(InvalidParameterError):
-        build_certificate(g, 0, phi(2, 3))
+        build_certificate(g, 0, threshold(2, 3))
     with pytest.raises(InvalidParameterError):
-        build_certificate(g, mask_of([0, 2]), phi(2, 3))  # 0-2 adjacent
+        build_certificate(g, mask_of([0, 2]), threshold(2, 3))  # 0-2 adjacent
     with pytest.raises(InvalidParameterError):
-        build_certificate(cycle(3), 1 << 5, phi(2, 3))
+        build_certificate(cycle(3), 1 << 5, threshold(2, 3))
 
 
 def test_verify_reports_tampering():
     g = complete_bipartite(3, 3)
-    cert = build_certificate(g, 0b000111, phi(3, 3))
+    cert = build_certificate(g, 0b000111, threshold(3, 3))
     nt = 0b111000
-    tampered = Certificate(cert.t_mask, cert.d_mask | nt, cert.source_mask, cert.phi, cert.trace)
+    tampered = Certificate(cert.t_mask, cert.d_mask | nt, cert.source_mask, cert.threshold, cert.trace)
     report = verify_certificate(g, tampered)
     assert not report.passed
-    assert not report.check("d_avoids_nt").passed
+    assert report.check("d_avoids_nt") == CheckResult("d_avoids_nt", False, -3)  # 3, 4 and 5 lie in N(T)
 
-    # T := I can break the T-size bound when |I| > n/phi
+    # T := I breaks the T-size bound exactly when |I| > n/t
     g2 = complete_bipartite(4, 4)
-    p2 = phi(4, 8)  # phi = sqrt(8)/8 ~ 0.35, n/phi ~ 22 > 4: report slack either way
-    cert2 = build_certificate(g2, 0b1111, p2)
-    tampered2 = Certificate(cert2.source_mask, cert2.d_mask, cert2.source_mask, cert2.phi, cert2.trace)
-    report2 = verify_certificate(g2, tampered2)
-    assert report2.check("t_size").slack == pytest.approx(8 / p2 - 4)
+    for t, slack in ((threshold(4, 8), 8 - 4 * 1), (2, 0), (3, 8 - 4 * 3)):
+        cert2 = build_certificate(g2, 0b1111, t)
+        tampered2 = Certificate(cert2.source_mask, cert2.d_mask, cert2.source_mask, cert2.threshold, cert2.trace)
+        report2 = verify_certificate(g2, tampered2)
+        assert report2.check("t_size") == CheckResult("t_size", slack >= 0, slack)
 
 
 def test_certificate_random_instances():
@@ -159,22 +200,23 @@ def test_certificate_random_instances():
         n = rng.choice([i for i in range(max(12, d + 1), 61) if i * d % 2 == 0])
         g = random_regular(n, d, rng)
         q = rng.choice([3, 4, 5])
-        p = phi(d, q)
+        t = threshold(d, q)
         indset = random_maximal_independent_set(g, rng)
-        cert = build_certificate(g, indset, p)
+        cert = build_certificate(g, indset, t)
         assert verify_certificate(g, cert).passed
-        assert cert.t_mask.bit_count() * p <= n + 1e-9
+        assert cert.t_mask.bit_count() * t <= n
 
 
 def test_d_profile_k22_example():
     g = complete_bipartite(2, 2)
-    p = phi(2, 3)
-    prof = d_profile(g, [1, 1, 2, 2], 3, p)
+    t = threshold(2, 3)
+    prof = d_profile(g, [1, 1, 2, 2], 3, t)
     assert vertices_of(prof.d_sets[0]) == [0, 1]
     assert vertices_of(prof.d_sets[1]) == [2, 3]
     # empty third class: deterministic completion, capped by the size bound
-    assert prof.d_sets[2] == (1 << container_size_cap(4, 2, p)) - 1
-    assert prof.total <= 3 * (4 * 2) / (2 * 2 - p)
+    assert container_size_cap(4, 2, t) == 2
+    assert prof.d_sets[2] == 0b0011
+    assert prof.total <= 3 * container_size_cap(4, 2, t)
     assert prof.product >= 1
 
 
@@ -188,21 +230,21 @@ def test_d_profile_compatibility_and_size_bound():
         coloring = _some_proper_coloring(g, q)
         if coloring is None:
             continue
-        p = phi(d, q)
-        prof = d_profile(g, coloring, q, p)
+        t = threshold(d, q)
+        prof = d_profile(g, coloring, q, t)
         for k in range(1, q + 1):
             class_mask = mask_of([v for v in range(n) if coloring[v] == k])
             assert class_mask & ~prof.d_sets[k - 1] == 0  # I_k subset of D_k
-        assert prof.total <= q * n * d / (2 * d - p) + 1e-9
+        assert prof.total <= q * container_size_cap(n, d, t)
         assert prof.product >= 1
 
 
 def test_d_profile_rejects_improper():
     g = cycle(4)
     with pytest.raises(InvalidParameterError):
-        d_profile(g, [1, 1, 2, 2], 3, phi(2, 3))
+        d_profile(g, [1, 1, 2, 2], 3, threshold(2, 3))
     with pytest.raises(InvalidParameterError):
-        d_profile(g, [1, 2, 1, 5], 3, phi(2, 3))
+        d_profile(g, [1, 2, 1, 5], 3, threshold(2, 3))
 
 
 def _some_proper_coloring(g, q):
@@ -259,7 +301,7 @@ def test_refined_bound_dominates_brute_force():
         coloring = _some_proper_coloring(g, q)
         if coloring is None:
             continue
-        prof = d_profile(g, coloring, q, phi(d, q))
+        prof = d_profile(g, coloring, q, threshold(d, q))
         bound = refined_bound(g, prof, q)
         exact = brute_compatible_proper(g, q, list(prof.d_sets))
         assert Fraction(exact) <= bound
@@ -357,3 +399,66 @@ def test_explicit_weak_bound_covers_exact_counts():
         for g in fams:
             for q in (3, 4):
                 assert Fraction(count_colorings(g, q)) <= explicit_weak_bound(n, d, q)
+
+
+def test_explicit_weak_bound_covers_disjoint_kdd():
+    # m disjoint copies of K_{d,d}, the conjectured extremal graphs
+    for d in range(2, 41):
+        for q in range(3, 11):
+            c = count_colorings_kdd(d, q)
+            for m in (1, 2, 3, 5):
+                assert explicit_weak_bound(2 * d * m, d, q) >= c**m, (d, q, m)
+
+
+def _largest_products(n, top):
+    """Brute force: the largest product of n positive integers with sum s,
+    for every s <= top, over the non-decreasing vectors."""
+    best = {}
+
+    def rec(k, low, s, prod):
+        if k == n:
+            best[s] = max(best.get(s, 0), prod)
+            return
+        for v in range(low, (top - s) // (n - k) + 1):
+            rec(k + 1, v, s + v, prod * v)
+
+    rec(0, 1, 0, 1)
+    return best
+
+
+def test_product_cap_brute_force():
+    grid = sorted({Fraction(num, den) for den in range(1, 7) for num in range(den, 4 * den + 1)})
+    for n in range(1, 8):
+        best = _largest_products(n, 4 * n)
+        for a in grid:
+            cap = _product_cap(a, n)
+            top = max(p for s, p in best.items() if s <= n * a)
+            assert top <= cap, (n, a)
+            if n % 2 == 0 and (2 * a).denominator == 1:
+                assert top == cap, (n, a)  # the balanced vector attains it
+
+
+def test_padded_profile_total_within_sum_cap():
+    # the multiplicity sum that explicit_weak_bound assumes, on every proper
+    # 3- and 4-coloring of the small corpus graphs; on some odd-n graphs the
+    # padding to ceil(n/2) exceeds q * container_size_cap
+    from itertools import product as iproduct
+
+    from helpers import regular_corpus
+
+    colorings = over_cap = 0
+    for g, d in regular_corpus():
+        n = g.n
+        if n > 7:
+            continue
+        edges = g.edges()
+        for q in (3, 4):
+            t = threshold(d, q)
+            for coloring in iproduct(range(1, q + 1), repeat=n):
+                if any(coloring[u] == coloring[v] for u, v in edges):
+                    continue
+                padded, _ = _padded(n, d_profile(g, list(coloring), q, t))
+                assert padded.total <= _sum_cap(n, d, q, t), (g, coloring)
+                over_cap += padded.total > q * container_size_cap(n, d, t)
+                colorings += 1
+    assert colorings > 0 and over_cap > 0
