@@ -14,8 +14,8 @@ x >= phi exactly when x >= t, so every decision is an integer test.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import greedy_maximal_matching
@@ -52,16 +52,11 @@ def _check_threshold(t: int) -> None:
         raise InvalidParameterError(f"threshold must be an int >= 1, got {t!r}")
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "t_mask d_mask source_mask threshold trace")):
     """Greedy seed set T, container D, the source independent set, the
     integer threshold t, and the growth trace [(u, new-neighbor count), ...]."""
 
-    t_mask: int
-    d_mask: int
-    source_mask: int
-    threshold: int
-    trace: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def build_certificate(g: Graph, indset: int, t: int) -> Certificate:
@@ -106,17 +101,12 @@ def build_certificate(g: Graph, indset: int, t: int) -> Certificate:
     return Certificate(t_mask, d_mask, indset, t, tuple(trace))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    slack: int
+CheckResult = namedtuple("CheckResult", "name passed slack")
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    checks: tuple[CheckResult, ...]
-    passed: bool
+class CertificateReport(namedtuple("CertificateReport", "checks passed")):
+    # checks: tuple of CheckResult
+    __slots__ = ()
 
     def check(self, name: str) -> CheckResult:
         for c in self.checks:
@@ -158,16 +148,12 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateReport:
 # Per-coloring container profiles and the compatible-partition bound
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DProfile:
+class DProfile(namedtuple("DProfile", "d_sets multiplicities product total")):
     """Container list (D_1..D_q) with, for every vertex v, the multiplicity
     a_v = #{k : v in D_k}; `product` is the exact number of ordered vertex
     partitions (I_1..I_q) with I_k contained in D_k."""
 
-    d_sets: tuple[int, ...]
-    multiplicities: tuple[int, ...]
-    product: int
-    total: int
+    __slots__ = ()
 
     @property
     def q(self) -> int:
@@ -260,12 +246,12 @@ def refined_bound(g: Graph, profile: DProfile, q: int) -> Fraction:
 # Forbidden-interval product lemma
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LemmaBound:
-    bound: float        # (a^2 - delta^2)^(m/2)
-    holds: bool         # prod a_i <= bound, decided exactly via squares
-    equality: bool
-    degenerate: bool    # a <= delta
+LemmaBound = namedtuple("LemmaBound", [
+    "bound",       # (a^2 - delta^2)^(m/2), a float
+    "holds",       # prod a_i <= bound, decided exactly via squares
+    "equality",
+    "degenerate",  # a <= delta
+])
 
 
 def lemma_opt_bound(values: Sequence, a, delta) -> LemmaBound:

@@ -43,8 +43,8 @@ BACKTRACK_NODE_CAP = 100_000_000
 
 
 def _bfs_order(g: Graph) -> tuple[list[int], list[int]]:
-    # the vertex order of every pass (graphs.bfs over all of g) and each
-    # vertex's position in it
+    # the vertex order of backtracking, graphs.bfs over all of g as in every
+    # frontier pass, and each vertex's position in it
     order = bfs(g.rows, (1 << g.n) - 1)[0]
     pos = [0] * g.n
     for i, v in enumerate(order):
@@ -81,10 +81,9 @@ def _frontier_pass(g: Graph, start: Hashable, weight: int, step: Callable[[dict,
     returns the table after v is placed, where `unplaced` is the mask of the
     vertices still to come.  A step stops filling its table once that holds
     more than cap states, and the pass then raises CapExceededError."""
-    order, _ = _bfs_order(g)
     unplaced = (1 << g.n) - 1
     table = {start: weight}
-    for i, v in enumerate(order, 1):
+    for i, v in enumerate(bfs(g.rows, unplaced)[0], 1):
         unplaced ^= 1 << v
         table = step(table, v, unplaced, cap)
         if len(table) > cap:

@@ -8,8 +8,8 @@ used for the adjacency rows themselves.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (
@@ -57,26 +57,34 @@ def _check_symmetric(rows: Sequence[int]) -> None:
             row ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "n rows")):
     """Simple undirected loopless graph: vertex count plus one adjacency
     bit mask per vertex.  Immutable and hashable; safe to share."""
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __new__(cls, n: int, rows: tuple[int, ...]):
+        if n < 0:
             raise InvalidParameterError("vertex count must be non-negative")
-        if len(self.rows) != self.n:
+        if len(rows) != n:
             raise InvalidParameterError("adjacency row count must equal n")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.rows):
+        full = (1 << n) - 1
+        for v, row in enumerate(rows):
             if row & ~full:
                 raise InvalidParameterError(f"adjacency bits of vertex {v} out of range")
             if (row >> v) & 1:
                 raise InvalidParameterError(f"loop at vertex {v} not allowed")
-        _check_symmetric(self.rows)
+        _check_symmetric(rows)
+        return super().__new__(cls, n, rows)
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make, which would skip the checks of __new__
+        return cls(*fields)
+
+    def __reduce__(self):
+        # pickle at every protocol through the constructor, so the checks run
+        return type(self), tuple(self)
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
@@ -95,24 +103,32 @@ class Graph:
         return sum(r.bit_count() for r in self.rows) // 2
 
 
-@dataclass(frozen=True)
-class TargetGraph:
+class TargetGraph(namedtuple("TargetGraph", "k rows")):
     """Homomorphism target: symmetric adjacency where diagonal bits (loops)
     are permitted.  No multiple edges by construction."""
 
-    k: int
-    rows: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 0:
+    def __new__(cls, k: int, rows: tuple[int, ...]):
+        if k < 0:
             raise InvalidParameterError("vertex count must be non-negative")
-        if len(self.rows) != self.k:
+        if len(rows) != k:
             raise InvalidParameterError("adjacency row count must equal k")
-        full = (1 << self.k) - 1 if self.k else 0
-        for v, row in enumerate(self.rows):
+        full = (1 << k) - 1 if k else 0
+        for v, row in enumerate(rows):
             if row & ~full:
                 raise InvalidParameterError(f"adjacency bits of vertex {v} out of range")
-        _check_symmetric(self.rows)
+        _check_symmetric(rows)
+        return super().__new__(cls, k, rows)
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make, which would skip the checks of __new__
+        return cls(*fields)
+
+    def __reduce__(self):
+        # pickle at every protocol through the constructor, so the checks run
+        return type(self), tuple(self)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
@@ -218,12 +234,12 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph(g.n, tuple(mask_of(inv[v] for v in vertices_of(g.rows[old])) for old in perm))
 
 
-@dataclass(frozen=True)
-class Classification:
-    n: int
-    degree: int | None  # common degree if regular, else None
-    bipartite: bool
-    components: int
+Classification = namedtuple("Classification", [
+    "n",
+    "degree",  # common degree if regular, else None
+    "bipartite",
+    "components",
+])
 
 
 def classify(g: Graph) -> Classification:

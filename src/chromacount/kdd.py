@@ -7,7 +7,7 @@ Surj(d,a)*Surj(d,b).  The dominant classes maximize the product a*b.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .errors import InvalidParameterError
@@ -53,20 +53,18 @@ def count_colorings_kdd(d: int, q: int) -> int:
     return sum(comb(q, a) * surjections(d, a) * (q - a) ** d for a in range(1, min(d, q) + 1))
 
 
-@dataclass(frozen=True)
-class PairClass:
-    a: int
-    b: int
-    pairs: int       # ordered pairs (A,B) with |A|=a, |B|=b
-    product: int     # a*b
-    class_size: int  # colorings per pair: Surj(d,a)*Surj(d,b)
+PairClass = namedtuple("PairClass", [
+    "a",
+    "b",
+    "pairs",       # ordered pairs (A,B) with |A|=a, |B|=b
+    "product",     # a*b
+    "class_size",  # colorings per pair: Surj(d,a)*Surj(d,b)
+])
 
 
-@dataclass(frozen=True)
-class ColorPairCensus:
-    d: int
-    q: int
-    entries: tuple[PairClass, ...]
+class ColorPairCensus(namedtuple("ColorPairCensus", "d q entries")):
+    # entries: tuple of PairClass
+    __slots__ = ()
 
     @property
     def total(self) -> int:
@@ -106,14 +104,14 @@ def pair_census(d: int, q: int) -> ColorPairCensus:
     return ColorPairCensus(d, q, tuple(entries))
 
 
-@dataclass(frozen=True)
-class GapReport:
-    d: int
-    q: int
-    colorings: int       # c_q(K_{d,d})
-    dominant_term: int   # eta^d * m
-    gap: int             # |colorings - dominant_term|
-    ratio: Fraction      # colorings / dominant_term, exact
+GapReport = namedtuple("GapReport", [
+    "d",
+    "q",
+    "colorings",      # c_q(K_{d,d})
+    "dominant_term",  # eta^d * m
+    "gap",            # |colorings - dominant_term|
+    "ratio",          # colorings / dominant_term, an exact Fraction
+])
 
 
 def asymptotic_gap(d: int, q: int) -> GapReport:

@@ -9,8 +9,8 @@ log2 slack is display-only and never decides anything.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .counting import count_colorings, count_homomorphisms, count_independent_sets, independence_number
@@ -22,15 +22,7 @@ from .graphs import classify  # noqa: F401
 from .kdd import count_colorings_kdd
 
 
-@dataclass(frozen=True)
-class PowerComparison:
-    lhs_base: int
-    lhs_exp: int
-    rhs_base: int
-    rhs_exp: int
-    holds: bool
-    equality: bool
-    slack_log2: float
+PowerComparison = namedtuple("PowerComparison", "lhs_base lhs_exp rhs_base rhs_exp holds equality slack_log2")
 
 
 def _compare_powers(lhs_base: int, lhs_exp: int, rhs_base: int, rhs_exp: int) -> PowerComparison:
@@ -47,14 +39,14 @@ def _compare_powers(lhs_base: int, lhs_exp: int, rhs_base: int, rhs_exp: int) ->
     return PowerComparison(lhs_base, lhs_exp, rhs_base, rhs_exp, lhs <= rhs, lhs == rhs, slack)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    graph6: str
-    target: str
-    comparisons: tuple[PowerComparison, ...]
-    holds: bool
-    equality: bool
-    slack_log2: float
+Verdict = namedtuple("Verdict", [
+    "graph6",
+    "target",
+    "comparisons",  # tuple of PowerComparison
+    "holds",
+    "equality",
+    "slack_log2",
+])
 
 
 def _regular_degree(g: Graph, min_d: int = 2) -> int:
@@ -94,11 +86,11 @@ def hom_conjecture_verdict(g: Graph, h: TargetGraph) -> Verdict:
     return Verdict(write_graph6(g), "hom", (kdd_side, clique_side), holds, equality, slack)
 
 
-@dataclass(frozen=True)
-class ReferenceBound:
-    base: int          # c_q(K_{d,d})
-    exp_num: int       # n
-    exp_den: int       # 2d
+ReferenceBound = namedtuple("ReferenceBound", [
+    "base",     # c_q(K_{d,d})
+    "exp_num",  # n
+    "exp_den",  # 2d
+])
 
 
 def reference_bound(n: int, d: int, q: int) -> ReferenceBound:
@@ -115,23 +107,19 @@ def alon_kahn_verdict(g: Graph) -> Verdict:
     return Verdict(write_graph6(g), "independent-sets", (cmp,), cmp.holds, cmp.equality, cmp.slack_log2)
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    graph6: str
-    alpha: int
-    count: int
+ScanRow = namedtuple("ScanRow", "graph6 alpha count")
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    n: int
-    d: int
-    q: int
-    eps: Fraction
-    max_count: int
-    argmax: str | None
-    rows: tuple[ScanRow, ...]  # every family member that passed the filter
-    family_size: int           # every family member, filtered or not
+ScanResult = namedtuple("ScanResult", [
+    "n",
+    "d",
+    "q",
+    "eps",          # a Fraction
+    "max_count",
+    "argmax",       # the least graph6 with max_count, None if no row
+    "rows",         # ScanRow of every family member that passed the filter
+    "family_size",  # every family member, filtered or not
+])
 
 
 def _eps_fraction(eps) -> Fraction:

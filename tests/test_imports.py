@@ -54,6 +54,9 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 HEAVY = {"chromacount.certificates", "chromacount.records", "fractions", "decimal"}
+# the value types are named tuples: neither dataclasses (which loads inspect)
+# nor typing.NamedTuple is on the path of the batch subcommands
+STARTUP = {"dataclasses", "inspect", "typing"}
 
 
 def _loaded(argv, tmp_path):
@@ -85,13 +88,16 @@ def petersen_g6(tmp_path):
     ids=["verify-colorings", "verify-indsets", "count"],
 )
 def test_counting_commands_load_no_certificates_records_or_fractions(tmp_path, petersen_g6, argv):
-    assert not _loaded(argv + [petersen_g6], tmp_path) & HEAVY
+    loaded = _loaded(argv + [petersen_g6], tmp_path)
+    assert not loaded & HEAVY
+    assert not loaded & STARTUP
 
 
 def test_scan_loads_records_but_not_certificates(tmp_path):
     loaded = _loaded(["scan", "--n", "6", "--d", "3", "--q", "3", "--records", str(tmp_path / "best.json")], tmp_path)
     assert "chromacount.records" in loaded
     assert "chromacount.certificates" not in loaded
+    assert not loaded & STARTUP
 
 
 @pytest.mark.parametrize("argv", [["certificate", "--q", "3", "--graph"], ["bounds", "--n", "10", "--d", "3", "--q", "3", "--graphs"]], ids=["certificate", "bounds"])
