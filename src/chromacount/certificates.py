@@ -1,7 +1,7 @@
 """Greedy container certificates for independent sets in regular graphs,
 compatible-partition product bounds, the matching refinement, the
-forbidden-interval product lemma, and a fully explicit upper bound on the
-number of proper q-colorings of any n-vertex d-regular graph.
+forbidden-interval product lemma, and a fully explicit integer upper bound
+on the number of proper q-colorings of any n-vertex d-regular graph.
 
 The certificate for an independent set I grows a seed set T greedily: while
 some u in I adds at least t new neighbors, the least such u joins T.  The
@@ -306,45 +306,32 @@ def _binomial_sum(n: int, k: int) -> int:
     return total
 
 
-def _sqrt_upper(x: Fraction) -> Fraction:
-    # rational upper bound on sqrt(x) for x >= 0, exact when x is a square of
-    # a rational and within a factor 1 + 2^-64 otherwise:
-    # sqrt(x) = sqrt(num * den * 4^64) / (den * 2^64)
-    y = x.numerator * x.denominator << 128
-    r = math.isqrt(y)
-    return Fraction(r + (r * r < y), x.denominator << 64)
-
-
 def _sum_cap(n: int, d: int, q: int, t: int) -> int:
     # q containers of at most container_size_cap vertices, one padded up to
     # ceil(n/2) by _padded: a bound on the sum of the multiplicities
     return q * max(container_size_cap(n, d, t), (n + 1) // 2)
 
 
-def _product_cap(a: Fraction, n: int) -> Fraction:
-    """Upper bound on the product of n positive integers with sum at most
-    n*a, for a >= 1: (a^2 - rho^2)^(n/2), rho the distance from a to the
-    nearest integer."""
-    # the balanced floor(a)/ceil(a) vector has the largest product; none of
-    # its values lies inside (a - rho, a + rho), so lemma_opt_bound applies
-    rho = min(a - math.floor(a), math.ceil(a) - a)
-    base = a * a - rho * rho
-    return base ** (n // 2) * (_sqrt_upper(base) if n % 2 else 1)
+def _product_cap(s: int, n: int) -> int:
+    """The largest product of n positive integers with sum at most s, for
+    s >= n: that of the balanced vector of floor(s/n)s and ceil(s/n)s."""
+    fl, r = divmod(s, n)
+    return fl ** (n - r) * (fl + 1) ** r
 
 
-def explicit_weak_bound(n: int, d: int, q: int, eps=None) -> Fraction:
+def explicit_weak_bound(n: int, d: int, q: int, eps=None) -> int:
     """Fully explicit upper bound on the number of proper q-colorings of any
     n-vertex d-regular graph (with eps given: of any such graph whose largest
     independent set has at most (n/2)(1-eps) vertices).
 
-    The bound is
+    The bound is the floor of
         [sum_{i <= n // t} C(n,i)]^q  *  B  *  (1 - 1/q^2)^ceil(n*eps/4)
     with t = threshold(d, q): each container is fixed by a seed set of at
     most n/t vertices.  The multiplicities of a padded profile are positive
-    integers with sum at most S = _sum_cap(n, d, q, t), and B bounds their
-    product: B = _product_cap(S/n, n).  At S/n = q/2 that is eta(q)^(n/2).
-    The returned Fraction is an exact certified upper bound (the square root
-    of a non-square for odd n is rounded upward).
+    integers with sum at most S = _sum_cap(n, d, q, t), and B is the largest
+    product of such integers: B = _product_cap(S, n).  At S = qn/2 and even
+    n that is eta(q)^(n/2).  A count is an integer, so the floor keeps the
+    bound exact and certified.
     """
     if d < 2:
         raise InvalidParameterError("d must be at least 2")
@@ -355,8 +342,8 @@ def explicit_weak_bound(n: int, d: int, q: int, eps=None) -> Fraction:
     eps_frac = None if eps is None else _eps_fraction(eps)
 
     t = threshold(d, q)
-    out = Fraction(_binomial_sum(n, n // t)) ** q * _product_cap(Fraction(_sum_cap(n, d, q, t), n), n)
-    if eps_frac is not None and eps_frac > 0:
-        exponent = math.ceil(Fraction(n) * eps_frac / 4)
-        out *= Fraction(q * q - 1, q * q) ** exponent
+    out = _binomial_sum(n, n // t) ** q * _product_cap(_sum_cap(n, d, q, t), n)
+    if eps_frac is not None:
+        exponent = -(-n * eps_frac.numerator // (4 * eps_frac.denominator))  # ceil(n*eps/4)
+        out = out * (q * q - 1) ** exponent // (q * q) ** exponent
     return out

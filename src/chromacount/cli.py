@@ -130,6 +130,16 @@ def _json_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True) + "\n"
 
 
+def _decimal(count: int) -> str:
+    """The one rendering of a count as text.  A count longer than the
+    interpreter's integer-to-string limit is over a cap, not a crash."""
+    try:
+        return str(count)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise CapExceededError(f"a count of {count.bit_length()} bits exceeds the integer-to-string limit of {limit} digits") from None
+
+
 def _emit(records: Iterable[dict], out: str | None) -> None:
     _write(map(_json_line, records), out)
 
@@ -175,13 +185,13 @@ def cmd_count(args) -> int:
         if args.method == "both":
             back = counting.count_colorings(g, args.q, "backtrack")
             poly = counting.count_colorings(g, args.q, "polynomial")
-            rec["value"] = str(back)
-            rec["polynomial_value"] = str(poly)
+            rec["value"] = _decimal(back)
+            rec["polynomial_value"] = _decimal(poly)
             rec["cross_check"] = "ok" if back == poly else "mismatch"
             if back != poly:
                 mismatch = True
         else:
-            rec["value"] = str(counting.count_colorings(g, args.q, args.method))
+            rec["value"] = _decimal(counting.count_colorings(g, args.q, args.method))
         lines.append(_count_line(rec, args.format))
     _write(lines, args.out)
     return EXIT_CROSSCHECK if mismatch else EXIT_OK
@@ -204,9 +214,9 @@ def _verdict_record(v: Verdict, n: int, d: int, q: int | None) -> dict:
         "slack_log2": None if math.isinf(v.slack_log2) else v.slack_log2,
         "comparisons": [
             {
-                "lhs_base": str(c.lhs_base),
+                "lhs_base": _decimal(c.lhs_base),
                 "lhs_exp": c.lhs_exp,
-                "rhs_base": str(c.rhs_base),
+                "rhs_base": _decimal(c.rhs_base),
                 "rhs_exp": c.rhs_exp,
                 "holds": c.holds,
                 "equality": c.equality,
@@ -416,7 +426,7 @@ def cmd_scan(args) -> int:
         family = _matching(args.graphs, args.n, args.d)
     result = constrained_scan(family, args.q, args.eps)
     records = [
-        {"type": "scan-row", "graph6": r.graph6, "n": args.n, "d": args.d, "q": args.q, "alpha": r.alpha, "value": str(r.count)}
+        {"type": "scan-row", "graph6": r.graph6, "n": args.n, "d": args.d, "q": args.q, "alpha": r.alpha, "value": _decimal(r.count)}
         for r in result.rows
     ]
     records.append(
@@ -428,7 +438,7 @@ def cmd_scan(args) -> int:
             "eps": str(result.eps),
             "family_size": result.family_size,
             "filtered": len(result.rows),
-            "max": str(result.max_count),
+            "max": _decimal(result.max_count),
             "argmax": result.argmax,
         }
     )
@@ -446,50 +456,55 @@ def cmd_scan(args) -> int:
 # bounds
 # ---------------------------------------------------------------------------
 
-def _log2(x) -> float | None:
-    """log2 of an int or a Fraction, as two logs: the value of a Fraction
-    may not fit a float."""
-    if x is None or x <= 0:
-        return None
-    return math.log2(x.numerator) - math.log2(x.denominator)
+# bounds refuses (exit 65), before it builds any big integer, an (n, d, q)
+# whose integers may pass this many bits.  2^23 lets --n 10^6 + 1 --d 3 --q 3
+# run, whose weak bound is judged at 5 * 10^6 bits.
+BOUNDS_BIT_CAP = 1 << 23
 
 
 def cmd_bounds(args) -> int:
     from .certificates import explicit_weak_bound
 
+    n, d, q = args.n, args.d, args.q
     eps = None if args.eps is None else _eps_fraction(args.eps)
-    ref = reference_bound(args.n, args.d, args.q)
-    if args.n < args.d + 1:
+    if n < d + 1:
         # no such family at any q; explicit_weak_bound refuses it too
         raise InvalidParameterError("n must be at least d+1")
-    weak = explicit_weak_bound(args.n, args.d, args.q) if args.q >= 3 else None
-    weak_eps = explicit_weak_bound(args.n, args.d, args.q, eps) if (weak is not None and eps is not None) else None
+    # c_q(K_{d,d}) <= q^(2d), m_count(q) < 2^(q+1) and, at q >= 3, the weak
+    # bound <= 2^(qn) q^n, since its multiplicities sum to less than qn
+    bits = max(2 * d * q.bit_length(), q + 1, n * (q + q.bit_length()) if q >= 3 else 0)
+    if bits > BOUNDS_BIT_CAP and d >= 1 and q >= 2:  # reference_bound refuses the rest
+        raise CapExceededError(f"bounds at n={n}, d={d}, q={q} may need {bits}-bit integers, over the cap of {BOUNDS_BIT_CAP} bits")
+    ref = reference_bound(n, d, q)
+    reference_base = _decimal(ref.base)
+    weak = explicit_weak_bound(n, d, q) if q >= 3 else None
+    weak_eps = explicit_weak_bound(n, d, q, eps) if (weak is not None and eps is not None) else None
     head = {
         "type": "bounds",
-        "n": args.n,
-        "d": args.d,
-        "q": args.q,
+        "n": n,
+        "d": d,
+        "q": q,
         "eps": args.eps,
-        "reference_base": str(ref.base),
+        "reference_base": reference_base,
         "reference_exp": [ref.exp_num, ref.exp_den],
-        "reference_log2": _log2(ref.base) * ref.exp_num / ref.exp_den if ref.base else None,
-        "idealized_log2": math.log2(eta(args.q)) * args.n / 2 + math.log2(m_count(args.q)) * args.n / (2 * args.d),
-        "eta_pow_log2": math.log2(eta(args.q)) * args.n / 2,
-        "weak_bound_log2": _log2(weak),
-        "weak_bound_eps_log2": _log2(weak_eps),
+        "reference_log2": math.log2(ref.base) * ref.exp_num / ref.exp_den,
+        "idealized_log2": math.log2(eta(q)) * n / 2 + math.log2(m_count(q)) * n / (2 * d),
+        "eta_pow_log2": math.log2(eta(q)) * n / 2,
+        "weak_bound_log2": None if weak is None else math.log2(weak),
+        "weak_bound_eps_log2": None if weak_eps is None else math.log2(weak_eps),
     }
     records = [head]
     violation = False
     if args.graphs:
         for g in _graphs(args.graphs):
             cls = classify(g)
-            row = {"type": "bounds-row", "graph6": write_graph6(g), "n": g.n, "d": cls.degree, "q": args.q}
-            if cls.degree != args.d or g.n != args.n:
+            row = {"type": "bounds-row", "graph6": write_graph6(g), "n": g.n, "d": cls.degree, "q": q}
+            if cls.degree != d or g.n != n:
                 row["skipped"] = "does not match --n/--d"
                 records.append(row)
                 continue
-            exact = counting.count_colorings(g, args.q)
-            row["exact"] = str(exact)
+            exact = counting.count_colorings(g, q)
+            row["exact"] = _decimal(exact)
             row["alpha"] = independence_number(g)
             if weak is not None:
                 ok = exact <= weak

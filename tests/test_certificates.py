@@ -427,15 +427,45 @@ def _largest_products(n, top):
 
 
 def test_product_cap_brute_force():
-    grid = sorted({Fraction(num, den) for den in range(1, 7) for num in range(den, 4 * den + 1)})
+    # the balanced vector's product is the largest, at odd n too
     for n in range(1, 8):
         best = _largest_products(n, 4 * n)
-        for a in grid:
-            cap = _product_cap(a, n)
-            top = max(p for s, p in best.items() if s <= n * a)
-            assert top <= cap, (n, a)
-            if n % 2 == 0 and (2 * a).denominator == 1:
-                assert top == cap, (n, a)  # the balanced vector attains it
+        for s in range(n, 4 * n + 1):
+            top = max(p for total, p in best.items() if total <= s)
+            assert _product_cap(s, n) == top, (n, s)
+
+
+def test_product_cap_never_above_the_lemma_form():
+    # the lemma's (a^2 - rho^2)^(n/2) at a = s/n, rho the distance from a to
+    # the nearest integer, compared squared; the two agree exactly when a is
+    # an integer or a half-integer
+    equal = lower = 0
+    for n in range(1, 41):
+        for s in range(n, 8 * n + 1):
+            a = Fraction(s, n)
+            rho = min(a - math.floor(a), math.ceil(a) - a)
+            lemma_sq = (a * a - rho * rho) ** n
+            cap_sq = _product_cap(s, n) ** 2
+            assert cap_sq <= lemma_sq, (n, s)
+            assert (cap_sq == lemma_sq) == (2 * s % n == 0), (n, s)
+            equal += cap_sq == lemma_sq
+            lower += cap_sq < lemma_sq
+    assert (equal, lower) == (460, 5320)
+
+
+def test_explicit_weak_bound_is_an_int():
+    for eps in (None, 0, "1/3", 0.4, 1):
+        for n, d, q in ((10, 3, 3), (11, 4, 5), (31, 8, 4)):
+            assert type(explicit_weak_bound(n, d, q, eps)) is int, (n, d, q, eps)
+
+
+def test_explicit_weak_bound_eps_factor_is_floored_once():
+    # the bound without eps times (1 - 1/q^2)^ceil(n*eps/4), in Fractions
+    for n, d, q in ((10, 3, 3), (11, 4, 5), (31, 8, 4), (101, 16, 7)):
+        base = explicit_weak_bound(n, d, q)
+        for eps in (0, "1/3", "0.4", "1/7", 1):
+            e = math.ceil(n * Fraction(eps) / 4)
+            assert explicit_weak_bound(n, d, q, eps) == math.floor(base * Fraction(q * q - 1, q * q) ** e), (n, d, q, eps)
 
 
 def test_padded_profile_total_within_sum_cap():

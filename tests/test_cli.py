@@ -4,6 +4,8 @@ import math
 import multiprocessing
 import os
 import random
+import re
+import resource
 import subprocess
 import sys
 import time
@@ -565,6 +567,64 @@ def test_bounds_domain_error(capsys, monkeypatch):
             code = main(["bounds", "--n", n, "--d", d, "--q", q])
             captured = capsys.readouterr()
             assert (code, captured.out, captured.err) == (EXIT_USAGE, "", "error: n must be at least d+1\n"), (n, d, q)
+
+
+LONG_COUNT_ERROR = r"error: a count of \d+ bits exceeds the integer-to-string limit of \d+ digits\n"
+
+
+def test_count_too_long_for_text_exits_cap(tmp_path, capsys):
+    # c_q(C_62) at q = 10^80 has about 4,960 decimal digits, c_q(K_{3,3}) at
+    # q = 10^720 about 4,320 and c_10(K_{5000,5000}) about 7,000: over the
+    # interpreter's default limit of 4,300
+    g6 = write_g6(tmp_path, "c62.g6", [cycle(62)] * 2)
+    q = str(10**80)
+    for argv in (
+        ["count", "--graph", g6, "--q", q, "--method", "polynomial"],
+        ["scan", "--n", "6", "--d", "3", "--q", str(10**720)],
+        ["bounds", "--n", "5001", "--d", "5000", "--q", "10"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_CAP, ""), argv
+        assert re.fullmatch(LONG_COUNT_ERROR, captured.err), argv
+    errs = set()
+    for jobs in ("1", "2"):
+        code = main(["verify", "--graphs", g6, "--q", q, "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_CAP, ""), jobs
+        errs.add(captured.err)
+    (err,) = errs
+    assert re.fullmatch(LONG_COUNT_ERROR, err)
+
+
+def _bounds_in_1_gib(argv):
+    # a run that builds integers of gigabytes fails at once (exit 1) in 1 GiB
+    # of address space, and leaves the host's memory alone
+    limit = 1 << 30
+    return _cli(["bounds", *argv], preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "10000000000", "--d", "3", "--q", "3"],
+        ["--n", "1000000000001", "--d", "1000000000000", "--q", "3"],
+        ["--n", "10", "--d", "3", "--q", "100000000"],
+    ],
+    ids=["n", "d", "q"],
+)
+def test_bounds_over_bit_cap_exits_cap(argv):
+    proc = _bounds_in_1_gib(argv)
+    assert (proc.returncode, proc.stdout) == (EXIT_CAP, b"")
+    assert re.fullmatch(rb"error: bounds at n=\d+, d=\d+, q=\d+ may need \d+-bit integers, over the cap of 8388608 bits\n", proc.stderr)
+
+
+def test_bounds_odd_n_of_a_million_ends():
+    # odd n, where the bound has no square root to round: here it is
+    # 2^(3n) * 2^((n+3)/2), t = 1 and the multiplicities sum to 3(n+1)/2
+    proc = _bounds_in_1_gib(["--n", "1000001", "--d", "3", "--q", "3"])
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+    assert json_lines(proc.stdout.decode())[0]["weak_bound_log2"] == 3_500_005.0
 
 
 def test_usage_errors(capsys):
