@@ -89,7 +89,11 @@ def _load_target(path: str) -> TargetGraph:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        return target_from_edges(data["k"], [tuple(e) for e in data["edges"]])
+        k, edges = data["k"], [tuple(e) for e in data["edges"]]
+        if isinstance(k, int):
+            # before the rows are built, and whether or not a graph follows
+            counting.check_backtrack_target(k)
+        return target_from_edges(k, edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f'hom target {path} is not {{"k": K, "edges": [[u, v], ...]}}: {exc}') from None
 
@@ -415,7 +419,11 @@ def cmd_scan(args) -> int:
     from .records import RecordStore
 
     store = RecordStore(args.records, __version__) if args.records else None
-    if args.source == "gen":
+    # --graphs alone means --source file
+    source = args.source or ("file" if args.graphs else "gen")
+    if source == "gen":
+        if args.graphs:
+            raise InvalidParameterError("--source gen takes no --graphs")
         # a generator: constrained_scan checks --q and --eps before it
         # advances it, and no list of the family is held
         family = enumerate_regular(args.n, args.d)
@@ -558,7 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--eps", default="0")
-    p.add_argument("--source", choices=["gen", "file"], default="gen")
+    p.add_argument("--source", choices=["gen", "file"], help="gen (the default) or file (the default with --graphs)")
     p.add_argument("--graphs", help="graph6 file for --source file")
     p.add_argument("--records", help="path of the persistent best-known store")
     p.add_argument("--out")

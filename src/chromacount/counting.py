@@ -63,7 +63,10 @@ def count_colorings(g: Graph, q: int, method: str = "frontier") -> int:
         return _count_frontier(g, q)
     if method == "backtrack":
         # K_q needs q >= 1; with no colours only the empty graph has a coloring
-        return count_homomorphisms(g, complete_target(q)) if q else int(g.n == 0)
+        if not (q and g.n):
+            return int(g.n == 0)
+        check_backtrack_target(q)
+        return count_homomorphisms(g, complete_target(q))
     if method == "polynomial":
         return evaluate_polynomial(chromatic_polynomial(g), q)
     raise InvalidParameterError(f"unknown method {method!r}")
@@ -172,6 +175,17 @@ def evaluate_polynomial(coeffs: Sequence[int], q: int) -> int:
 # Homomorphisms and independent sets
 # ---------------------------------------------------------------------------
 
+def _node_cap_error() -> CapExceededError:
+    return CapExceededError(f"homomorphism backtracking exceeds search-node cap {BACKTRACK_NODE_CAP}")
+
+
+def check_backtrack_target(k: int) -> None:
+    """Refuse a target of more than BACKTRACK_NODE_CAP vertices before it is
+    built: backtracking charges its first vertex k search nodes."""
+    if k > BACKTRACK_NODE_CAP:
+        raise _node_cap_error()
+
+
 def count_homomorphisms(g: Graph, h: TargetGraph) -> int:
     """Number of maps V(g) -> V(h) sending edges to edges (loops in h allow
     adjacent preimages to coincide), by backtracking with one leaf per map.
@@ -198,7 +212,7 @@ def count_homomorphisms(g: Graph, h: TargetGraph) -> int:
         # the children are charged here, so a leaf costs no update
         budget -= cand.bit_count()
         if budget < 0:
-            raise CapExceededError(f"homomorphism backtracking exceeds search-node cap {BACKTRACK_NODE_CAP}")
+            raise _node_cap_error()
         total = 0
         while cand:
             t = (cand & -cand).bit_length() - 1

@@ -43,7 +43,20 @@ def vertices_of(mask: int) -> list[int]:
     return out
 
 
-def _check_symmetric(rows: Sequence[int]) -> None:
+def _check_rows(size: int, rows: Sequence[int], name: str, loops: bool) -> None:
+    """The checks of Graph and TargetGraph, in this order: the vertex count,
+    one row per vertex (`name` is the count's field), then per vertex the
+    range of its bits and, unless `loops`, its loop, then symmetry."""
+    if size < 0:
+        raise InvalidParameterError("vertex count must be non-negative")
+    if len(rows) != size:
+        raise InvalidParameterError(f"adjacency row count must equal {name}")
+    full = (1 << size) - 1
+    for v, row in enumerate(rows):
+        if row & ~full:
+            raise InvalidParameterError(f"adjacency bits of vertex {v} out of range")
+        if not loops and (row >> v) & 1:
+            raise InvalidParameterError(f"loop at vertex {v} not allowed")
     # every set bit (v, u) needs its mirror (u, v); only on failure are the
     # pairs scanned in order, to name the first asymmetric one
     for v, row in enumerate(rows):
@@ -51,31 +64,16 @@ def _check_symmetric(rows: Sequence[int]) -> None:
         while row:
             low = row & -row
             if not rows[low.bit_length() - 1] & bit:
-                n = len(rows)
-                a, b = next((a, b) for a in range(n) for b in range(a + 1, n) if ((rows[a] >> b) & 1) != ((rows[b] >> a) & 1))
+                a, b = next((a, b) for a in range(size) for b in range(a + 1, size) if ((rows[a] >> b) & 1) != ((rows[b] >> a) & 1))
                 raise InvalidParameterError(f"adjacency not symmetric at ({a},{b})")
             row ^= low
 
 
-class Graph(namedtuple("Graph", "n rows")):
-    """Simple undirected loopless graph: vertex count plus one adjacency
-    bit mask per vertex.  Immutable and hashable; safe to share."""
+class _Rows:
+    """What Graph and TargetGraph share: a vertex count and one adjacency
+    bit mask per vertex, built only through the checks of __new__."""
 
     __slots__ = ()
-
-    def __new__(cls, n: int, rows: tuple[int, ...]):
-        if n < 0:
-            raise InvalidParameterError("vertex count must be non-negative")
-        if len(rows) != n:
-            raise InvalidParameterError("adjacency row count must equal n")
-        full = (1 << n) - 1
-        for v, row in enumerate(rows):
-            if row & ~full:
-                raise InvalidParameterError(f"adjacency bits of vertex {v} out of range")
-            if (row >> v) & 1:
-                raise InvalidParameterError(f"loop at vertex {v} not allowed")
-        _check_symmetric(rows)
-        return super().__new__(cls, n, rows)
 
     @classmethod
     def _make(cls, fields):
@@ -86,11 +84,22 @@ class Graph(namedtuple("Graph", "n rows")):
         # pickle at every protocol through the constructor, so the checks run
         return type(self), tuple(self)
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
+
+
+class Graph(_Rows, namedtuple("Graph", "n rows")):
+    """Simple undirected loopless graph: vertex count plus one adjacency
+    bit mask per vertex.  Immutable and hashable; safe to share."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, rows: tuple[int, ...]):
+        _check_rows(n, rows, "n", loops=False)
+        return super().__new__(cls, n, rows)
+
+    def degree(self, v: int) -> int:
+        return self.rows[v].bit_count()
 
     def neighbors(self, v: int) -> list[int]:
         return vertices_of(self.rows[v])
@@ -103,66 +112,43 @@ class Graph(namedtuple("Graph", "n rows")):
         return sum(r.bit_count() for r in self.rows) // 2
 
 
-class TargetGraph(namedtuple("TargetGraph", "k rows")):
+class TargetGraph(_Rows, namedtuple("TargetGraph", "k rows")):
     """Homomorphism target: symmetric adjacency where diagonal bits (loops)
     are permitted.  No multiple edges by construction."""
 
     __slots__ = ()
 
     def __new__(cls, k: int, rows: tuple[int, ...]):
-        if k < 0:
-            raise InvalidParameterError("vertex count must be non-negative")
-        if len(rows) != k:
-            raise InvalidParameterError("adjacency row count must equal k")
-        full = (1 << k) - 1 if k else 0
-        for v, row in enumerate(rows):
-            if row & ~full:
-                raise InvalidParameterError(f"adjacency bits of vertex {v} out of range")
-        _check_symmetric(rows)
+        _check_rows(k, rows, "k", loops=True)
         return super().__new__(cls, k, rows)
-
-    @classmethod
-    def _make(cls, fields):
-        # _replace builds through _make, which would skip the checks of __new__
-        return cls(*fields)
-
-    def __reduce__(self):
-        # pickle at every protocol through the constructor, so the checks run
-        return type(self), tuple(self)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u] >> v) & 1)
 
     def has_loop(self, v: int) -> bool:
         return bool((self.rows[v] >> v) & 1)
 
 
-def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph on n vertices from an edge list."""
-    if n < 1:
-        raise InvalidParameterError("n must be at least 1")
-    rows = [0] * n
+def _edge_rows(size: int, edges: Iterable[tuple[int, int]], name: str, loops: bool) -> tuple[int, ...]:
+    # the rows of from_edges and target_from_edges; errors call the size `name`
+    if size < 1:
+        raise InvalidParameterError(f"{name} must be at least 1")
+    rows = [0] * size
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
+        if not (0 <= u < size and 0 <= v < size):
             raise InvalidParameterError(f"edge ({u},{v}) out of range")
-        if u == v:
+        if u == v and not loops:
             raise InvalidParameterError(f"loop at {u} not allowed")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return tuple(rows)
+
+
+def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Build a Graph on n vertices from an edge list."""
+    return Graph(n, _edge_rows(n, edges, "n", loops=False))
 
 
 def target_from_edges(k: int, edges: Iterable[tuple[int, int]]) -> TargetGraph:
     """Build a TargetGraph; an edge (v, v) is a loop."""
-    if k < 1:
-        raise InvalidParameterError("k must be at least 1")
-    rows = [0] * k
-    for u, v in edges:
-        if not (0 <= u < k and 0 <= v < k):
-            raise InvalidParameterError(f"edge ({u},{v}) out of range")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return TargetGraph(k, tuple(rows))
+    return TargetGraph(k, _edge_rows(k, edges, "k", loops=True))
 
 
 def complete(k: int) -> Graph:

@@ -3,10 +3,10 @@
 One JSON file maps the key "n:d:q:eps" to the best count seen (a decimal
 string, since the values outgrow 64-bit quickly), the witnessing graph6
 string, a timestamp and the tool version.  Updates are monotone: a stored
-best never decreases.  Writes go through a temp file and an atomic rename.
-Inside `locked()` a run holds an exclusive flock on the sidecar file
-<store>.lock and works on the store as it is then, so that concurrent runs
-lose no update.
+best never decreases, and of equal counts the least graph6 is kept.  Writes
+go through a temp file and an atomic rename.  Inside `locked()` a run holds
+an exclusive flock on the sidecar file <store>.lock and works on the store as
+it is then, so that concurrent runs lose no update.
 """
 from __future__ import annotations
 
@@ -53,17 +53,16 @@ class RecordStore:
     def key(n: int, d: int, q: int, eps_key: str) -> str:
         return f"{n}:{d}:{q}:{eps_key}"
 
-    def best(self, key: str) -> int | None:
-        rec = self.records.get(key)
-        return int(rec["best"]) if rec else None
-
     def update(self, n: int, d: int, q: int, eps_key: str, count: int, argmax: str | None) -> bool:
-        """Record `count` for the key if it beats the stored best.  Returns
-        True when the record improved."""
+        """Record `count` for the key if it beats the stored best, or ties it
+        with a lesser graph6, as constrained_scan breaks ties; an entry with
+        no graph6 yields to one with.  Returns True when the entry changed."""
         key = self.key(n, d, q, eps_key)
-        current = self.best(key)
-        if current is not None and current >= count:
-            return False
+        rec = self.records.get(key)
+        if rec is not None:
+            best, held = int(rec["best"]), rec.get("argmax")
+            if best > count or best == count and (argmax is None or isinstance(held, str) and held <= argmax):
+                return False
         self.records[key] = {
             "n": n,
             "d": d,

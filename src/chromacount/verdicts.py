@@ -9,6 +9,7 @@ log2 slack is display-only and never decides anything.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
@@ -129,6 +130,18 @@ def _eps_fraction(eps) -> Fraction:
     # that name it are never evaluated
     from fractions import Fraction
 
+    if isinstance(eps, str):
+        # Fraction("1e-5000") builds 10**5000, too long to print, and
+        # "1e-100000000" does not end.  The digits before the exponent plus
+        # the exponent bound the digits of the numerator and denominator, so
+        # they are held to the integer-to-string limit before any is built.
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        mantissa, _, exp = eps.lower().partition("e")
+        exp = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if not exp.isdecimal():
+            exp = "0"  # no exponent, or text that Fraction refuses below
+        if len(exp) > len(str(limit)) or sum(map(str.isdigit, mantissa)) + int(exp) > limit:
+            raise InvalidParameterError(f"eps would need integers of more than {limit} digits")
     try:
         eps_frac = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
     except (TypeError, ValueError, ZeroDivisionError):

@@ -1449,3 +1449,95 @@ def test_cli_runs_on_the_standard_library_alone(tmp_path):
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == EXIT_OK, (argv, proc.stderr)
+
+
+def test_scan_graphs_alone_scans_the_file(tmp_path, capsys):
+    # --graphs without --source reads the file, not the generated family
+    path = write_g6(tmp_path, "k33.g6", [complete_bipartite(3, 3)])
+    explicit = run(capsys, ["scan", "--n", "6", "--d", "3", "--q", "3", "--source", "file", "--graphs", path])
+    assert run(capsys, ["scan", "--n", "6", "--d", "3", "--q", "3", "--graphs", path]) == explicit
+    assert json_lines(explicit[1])[-1]["family_size"] == 1
+    missing = str(tmp_path / "missing.g6")
+    code = main(["scan", "--n", "4", "--d", "3", "--q", "3", "--graphs", missing])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_scan_source_gen_with_graphs_exits_usage(tmp_path, capsys):
+    path = write_g6(tmp_path, "k4.g6", [complete(4)])
+    code = main(["scan", "--n", "4", "--d", "3", "--q", "3", "--source", "gen", "--graphs", path])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (EXIT_USAGE, "", "error: --source gen takes no --graphs\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--n", "6", "--d", "3", "--q", "3", "--eps", "1e-5000"],
+        ["scan", "--n", "6", "--d", "3", "--q", "3", "--eps", "1e-100000000"],
+        ["bounds", "--n", "10", "--d", "3", "--q", "3", "--eps", "1e-1000000000"],
+    ],
+    ids=["scan-too-long-to-print", "scan-exponent-1e8", "bounds-exponent-1e9"],
+)
+def test_eps_with_too_many_digits_exits_usage_at_once(argv):
+    # 1e-5000 once ended in a traceback from str(eps); the larger exponents
+    # built 10**(10^8) or more and did not end
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "chromacount.cli", *argv], env=env, capture_output=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, b"")
+    assert re.fullmatch(rb"error: eps would need integers of more than \d+ digits\n", proc.stderr)
+
+
+def test_eps_at_the_digit_limit_is_kept(capsys):
+    # 10**4299 has 4,300 digits, which the limit still prints
+    code, out = run(capsys, ["scan", "--n", "6", "--d", "3", "--q", "3", "--eps", "1e-4299"])
+    assert code == EXIT_OK
+    assert json_lines(out)[-1]["eps"] == "1/1" + "0" * 4299
+
+
+def test_target_over_node_cap_exits_cap_before_it_is_built(tmp_path):
+    # K_q at q = 10^20 or a target of 10^14 vertices cannot be built; each
+    # is over the search-node cap at the first vertex
+    limit = 1 << 30
+    in_1_gib = dict(preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    k4 = write_g6(tmp_path, "k4.g6", [complete(4)])
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    hfile = tmp_path / "h.json"
+    hfile.write_text(json.dumps({"k": 10**14, "edges": []}))
+    for argv in (
+        ["count", "--graph", k4, "--q", str(10**20)],
+        ["verify", "--graphs", k4, "--target", f"hom:{hfile}"],
+        # the target is refused as it is read, graph or no graph
+        ["verify", "--graphs", str(empty), "--target", f"hom:{hfile}"],
+    ):
+        proc = _cli(argv, **in_1_gib)
+        assert (proc.returncode, proc.stdout) == (EXIT_CAP, b""), argv
+        assert proc.stderr == b"error: homomorphism backtracking exceeds search-node cap 100000000\n", argv
+
+
+def test_records_store_keeps_the_least_tied_argmax(tmp_path, capsys):
+    from chromacount.graphs import relabel
+
+    # two labelings of K_{3,3}: the same count under different graph6
+    k33 = complete_bipartite(3, 3)
+    labelings = {write_graph6(g): g for g in (k33, relabel(k33, [0, 3, 1, 4, 2, 5]))}
+    assert len(labelings) == 2
+    # the least graph6 first
+    files = [write_g6(tmp_path, f"{i}.g6", [labelings[g6]]) for i, g6 in enumerate(sorted(labelings))]
+    stores = []
+    for order in (files, files[::-1]):
+        store = tmp_path / f"store-{len(stores)}.json"
+        improved = []
+        for path in order:
+            code, out = run(capsys, ["scan", "--n", "6", "--d", "3", "--q", "3", "--graphs", path, "--records", str(store)])
+            assert code == EXIT_OK
+            improved.append(json_lines(out)[-1]["record_improved"])
+        # the lesser graph6 replaces the greater, and nothing replaces it
+        assert improved == ([True, False] if order == files else [True, True])
+        stored = json.loads(store.read_text())
+        assert stored["6:3:3:0"]["argmax"] == min(labelings)
+        stored["6:3:3:0"]["updated"] = None
+        stores.append(json.dumps(stored, indent=2, sort_keys=True))
+    assert stores[0] == stores[1]
