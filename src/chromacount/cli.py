@@ -31,10 +31,12 @@ from .graphs import (
     parse_graph6,
     target_from_edges,
     vertices_of,
-    write_graph6,
 )
+# not called here: bench/tracing.py wraps cli.write_graph6 by name, so the
+# name stays importable
+from .graphs import write_graph6  # noqa: F401
 from .kdd import eta, m_count
-from .verdicts import Verdict, _eps_fraction, _regular_degree, alon_kahn_verdict, alpha_admitted, conjecture_verdict, constrained_scan, hom_conjecture_verdict, reference_bound
+from .verdicts import _eps_fraction, _regular_degree, alon_kahn_verdict, alpha_admitted, conjecture_verdict, constrained_scan, hom_conjecture_verdict, reference_bound
 # a module that only some subcommands run (certificates, records) is imported
 # inside them, so that the others neither load nor compile it
 
@@ -80,9 +82,9 @@ def _parse(line: int, record: str) -> Graph:
         raise Graph6ParseError(exc.message, exc.offset, line) from None
 
 
-def _graphs(path: str) -> Iterator[Graph]:
-    """The graphs of `path`, each parsed as it is consumed."""
-    return itertools.starmap(_parse, _records(path))
+def _parsed(path: str) -> Iterator[tuple[str, Graph]]:
+    """The records of `path` with their graphs, each parsed as it is consumed."""
+    return ((record, _parse(line, record)) for line, record in _records(path))
 
 
 def _load_target(path: str) -> TargetGraph:
@@ -130,8 +132,12 @@ def _write(lines: Iterable[str], out: str | None) -> None:
         sys.stdout.flush()
 
 
+# json.dumps(..., sort_keys=True) would build this encoder for every line
+_json_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def _json_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True) + "\n"
+    return _json_encode(record) + "\n"
 
 
 def _decimal(count: int) -> str:
@@ -177,10 +183,10 @@ def cmd_count(args) -> int:
     # only the rendered lines are kept; they are written once all succeed
     lines = [_csv_line(COUNT_CSV_HEADER)] if args.format == "csv" else []
     mismatch = False
-    for g in _graphs(args.graph):
+    for record, g in _parsed(args.graph):
         rec = {
             "type": "count",
-            "graph6": write_graph6(g),
+            "graph6": record,
             "n": g.n,
             "d": classify(g).degree,
             "q": args.q,
@@ -205,13 +211,25 @@ def cmd_count(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verdict_record(v: Verdict, n: int, d: int, q: int | None) -> dict:
+def _verify_one(numbered: tuple[int, str], q: int | None, target: str, h: TargetGraph | None) -> dict:
+    line, record = numbered
+    g = _parse(line, record)
+    try:
+        if target == "colorings":
+            v = conjecture_verdict(g, q)
+        elif target == "indsets":
+            v = alon_kahn_verdict(g)
+        else:
+            v = hom_conjecture_verdict(g, h)
+    except NotRegularError:
+        return {"type": "skipped", "graph6": record, "n": g.n, "reason": "not regular with d >= 2"}
+    # the verdict has checked that g is regular, so vertex 0 has degree d
     return {
         "type": "verdict",
-        "graph6": v.graph6,
-        "n": n,
-        "d": d,
-        "q": q,
+        "graph6": record,
+        "n": g.n,
+        "d": g.degree(0),
+        "q": q if target == "colorings" else None,
         "target": v.target,
         "holds": v.holds,
         "equality": v.equality,
@@ -228,22 +246,6 @@ def _verdict_record(v: Verdict, n: int, d: int, q: int | None) -> dict:
             for c in v.comparisons
         ],
     }
-
-
-def _verify_one(numbered: tuple[int, str], q: int | None, target: str, h: TargetGraph | None) -> dict:
-    line, record = numbered
-    g = _parse(line, record)
-    try:
-        if target == "colorings":
-            v = conjecture_verdict(g, q)
-        elif target == "indsets":
-            v = alon_kahn_verdict(g)
-        else:
-            v = hom_conjecture_verdict(g, h)
-    except NotRegularError:
-        return {"type": "skipped", "graph6": record, "n": g.n, "reason": "not regular with d >= 2"}
-    # the verdict has checked that g is regular, so vertex 0 has degree d
-    return _verdict_record(v, g.n, g.degree(0), q if target == "colorings" else None)
 
 
 # in a pool worker: the event that the run has failed, set by the parent
@@ -361,11 +363,11 @@ def cmd_certificate(args) -> int:
     from .certificates import build_certificate, phi, threshold, verify_certificate
 
     # two records tell "exactly one" apart; the rest is never read
-    with contextlib.closing(_records(args.graph)) as records:
-        graphs = list(itertools.starmap(_parse, itertools.islice(records, 2)))
+    with contextlib.closing(_parsed(args.graph)) as parsed:
+        graphs = list(itertools.islice(parsed, 2))
     if len(graphs) != 1:
         raise InvalidParameterError("--graph must supply exactly one graph")
-    g = graphs[0]
+    ((record, g),) = graphs
     cls = classify(g)
     if cls.degree is None or cls.degree < 2:
         raise InvalidParameterError("certificate requires a d-regular graph with d >= 2")
@@ -385,7 +387,7 @@ def cmd_certificate(args) -> int:
     report = verify_certificate(g, cert)
     rec = {
         "type": "certificate",
-        "graph6": write_graph6(g),
+        "graph6": record,
         "n": g.n,
         "d": cls.degree,
         "q": args.q,
@@ -504,9 +506,9 @@ def cmd_bounds(args) -> int:
     records = [head]
     violation = False
     if args.graphs:
-        for g in _graphs(args.graphs):
+        for record, g in _parsed(args.graphs):
             cls = classify(g)
-            row = {"type": "bounds-row", "graph6": write_graph6(g), "n": g.n, "d": cls.degree, "q": q}
+            row = {"type": "bounds-row", "graph6": record, "n": g.n, "d": cls.degree, "q": q}
             if cls.degree != d or g.n != n:
                 row["skipped"] = "does not match --n/--d"
                 records.append(row)

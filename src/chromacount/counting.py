@@ -65,7 +65,10 @@ def count_colorings(g: Graph, q: int, method: str = "frontier") -> int:
         # K_q needs q >= 1; with no colours only the empty graph has a coloring
         if not (q and g.n):
             return int(g.n == 0)
-        check_backtrack_target(q)
+        # the first vertex charges q nodes and, below each, the second (at
+        # most one earlier neighbour in BFS order) at least q - 1: with n >= 2
+        # the search charges at least q^2, and past the cap K_q is not built
+        check_backtrack_target(q * q if g.n >= 2 else q)
         return count_homomorphisms(g, complete_target(q))
     if method == "polynomial":
         return evaluate_polynomial(chromatic_polynomial(g), q)
@@ -180,8 +183,8 @@ def _node_cap_error() -> CapExceededError:
 
 
 def check_backtrack_target(k: int) -> None:
-    """Refuse a target of more than BACKTRACK_NODE_CAP vertices before it is
-    built: backtracking charges its first vertex k search nodes."""
+    """Refuse, before its target is built, a search bound to charge k nodes,
+    over BACKTRACK_NODE_CAP: a k-vertex target charges k at the first vertex."""
     if k > BACKTRACK_NODE_CAP:
         raise _node_cap_error()
 

@@ -285,10 +285,11 @@ def induced_subgraph(g: Graph, s: int) -> Graph:
 
 # Bit p of the graph6 bit stream is bit p of one int, `acc`: column j of the
 # upper triangle is then rows[j] & ((1 << j) - 1) at bit j(j-1)/2.  A record
-# byte holds six stream bits, the first most significant, so each 6-bit group
-# of `acc` maps to its byte through a bit reversal.
-_REVERSE6 = [int(f"{v:06b}"[::-1], 2) for v in range(64)]
-_GROUP_CHAR = [chr(r + 63) for r in _REVERSE6]
+# byte holds six stream bits, the first most significant, so a 6-bit group of
+# `acc` is its byte's bits reversed, and `acc` in binary the body's reversed.
+_GROUP_CHAR = [chr(int(f"{v:06b}"[::-1], 2) + 63) for v in range(64)]
+_BYTE_BITS = {b: f"{b - 63:06b}"[::-1] for b in range(63, 127)}
+_BYTES_IN_RANGE = bytes(range(63, 127))
 
 
 def write_graph6(g: Graph) -> str:
@@ -317,8 +318,7 @@ def parse_graph6(data: bytes | str) -> Graph:
             raise Graph6ParseError("non-ASCII byte", exc.start) from None
     else:
         raw = bytes(data)
-    while raw.endswith((b"\n", b"\r")):
-        raw = raw[:-1]
+    raw = raw.rstrip(b"\r\n")
     if not raw:
         raise Graph6ParseError("empty input", 0)
     b0 = raw[0]
@@ -336,12 +336,11 @@ def parse_graph6(data: bytes | str) -> Graph:
         raise Graph6ParseError(f"truncated adjacency bits (need {need} bytes, got {body})", len(raw))
     if body > need:
         raise Graph6ParseError("trailing bytes after adjacency bits", 1 + need)
-    acc = 0
-    for bi in range(need):
-        byte = raw[1 + bi]
-        if not 63 <= byte <= 126:
-            raise Graph6ParseError(f"adjacency byte {byte} out of range", 1 + bi)
-        acc |= _REVERSE6[byte - 63] << (6 * bi)
+    bad = raw.translate(None, _BYTES_IN_RANGE)
+    if bad:
+        # the size byte is in range, so the first byte left is the bad one
+        raise Graph6ParseError(f"adjacency byte {bad[0]} out of range", raw.index(bad[0]))
+    acc = int(raw[:0:-1].decode("ascii").translate(_BYTE_BITS) or "0", 2)
     if acc >> nbits:
         raise Graph6ParseError("nonzero padding bits in last byte", need)
     rows = [0] * n

@@ -41,7 +41,6 @@ def _compare_powers(lhs_base: int, lhs_exp: int, rhs_base: int, rhs_exp: int) ->
 
 
 Verdict = namedtuple("Verdict", [
-    "graph6",
     "target",
     "comparisons",  # tuple of PowerComparison
     "holds",
@@ -64,7 +63,7 @@ def conjecture_verdict(g: Graph, q: int) -> Verdict:
     """Exact check of c_q(G)^(2d) <= c_q(K_{d,d})^n for a d-regular G."""
     d = _regular_degree(g)
     cmp = _compare_powers(count_colorings(g, q), 2 * d, count_colorings_kdd(d, q), g.n)
-    return Verdict(write_graph6(g), f"colorings q={q}", (cmp,), cmp.holds, cmp.equality, cmp.slack_log2)
+    return Verdict(f"colorings q={q}", (cmp,), cmp.holds, cmp.equality, cmp.slack_log2)
 
 
 @lru_cache(maxsize=None)
@@ -84,7 +83,7 @@ def hom_conjecture_verdict(g: Graph, h: TargetGraph) -> Verdict:
     holds = kdd_side.holds or clique_side.holds
     equality = (kdd_side.holds and kdd_side.equality) or (clique_side.holds and clique_side.equality)
     slack = max(kdd_side.slack_log2, clique_side.slack_log2)
-    return Verdict(write_graph6(g), "hom", (kdd_side, clique_side), holds, equality, slack)
+    return Verdict("hom", (kdd_side, clique_side), holds, equality, slack)
 
 
 ReferenceBound = namedtuple("ReferenceBound", [
@@ -105,7 +104,7 @@ def alon_kahn_verdict(g: Graph) -> Verdict:
     """Exact check of i(G)^(2d) <= (2^(d+1) - 1)^n for a d-regular G."""
     d = _regular_degree(g)
     cmp = _compare_powers(count_independent_sets(g), 2 * d, 2 ** (d + 1) - 1, g.n)
-    return Verdict(write_graph6(g), "independent-sets", (cmp,), cmp.holds, cmp.equality, cmp.slack_log2)
+    return Verdict("independent-sets", (cmp,), cmp.holds, cmp.equality, cmp.slack_log2)
 
 
 ScanRow = namedtuple("ScanRow", "graph6 alpha count")

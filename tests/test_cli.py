@@ -306,9 +306,8 @@ def test_verify_failure_writes_counterexample_bundle(tmp_path, capsys, monkeypat
     from chromacount.verdicts import PowerComparison, Verdict
 
     def always_fails(g, q):
-        g6 = write_graph6(g)
         cmp = PowerComparison(7, 2, 3, 2, False, False, -2.44)
-        return Verdict(g6, f"colorings q={q}", (cmp,), False, False, -2.44)
+        return Verdict(f"colorings q={q}", (cmp,), False, False, -2.44)
 
     monkeypatch.setattr(cli, "conjecture_verdict", always_fails)
     monkeypatch.chdir(tmp_path)
@@ -1421,6 +1420,21 @@ def test_version_is_defined_once(capsys):
     assert chromacount.__version__ == declared
 
 
+def test_test_extra_names_every_oracle():
+    # a test skipped for a missing oracle says so only in the skip list, so
+    # the test extra installs every package the tests import on demand
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    from pathlib import Path
+
+    sources = "".join(path.read_text(encoding="utf-8") for path in Path(ROOT, "tests").glob("*.py"))
+    oracles = set(re.findall(r'importorskip\("(\w+)"\)', sources)) - sys.stdlib_module_names
+    assert oracles == {"hypothesis", "networkx"}
+    assert project["dependencies"] == []
+    assert oracles <= set(project["optional-dependencies"]["test"])
+
+
 def test_cli_import_leaves_multiprocessing_unloaded():
     # only verify --jobs N imports it, when it starts its pool
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
@@ -1541,3 +1555,62 @@ def test_records_store_keeps_the_least_tied_argmax(tmp_path, capsys):
         stored["6:3:3:0"]["updated"] = None
         stores.append(json.dumps(stored, indent=2, sort_keys=True))
     assert stores[0] == stores[1]
+
+
+def test_reports_name_each_graph_by_its_record_as_read(tmp_path, capsys, monkeypatch):
+    import csv
+
+    import chromacount.cli as cli
+    import chromacount.verdicts as verdicts
+
+    # a header line, a record behind the header, CRLF endings and blanks
+    # around the records; k4_minus_edge is not regular, so verify skips it
+    k4, k33, c5, skip = (write_graph6(g) for g in (complete(4), complete_bipartite(3, 3), cycle(5), k4_minus_edge()))
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_bytes(f">>graph6<<\r\n  {k4}\t\r\n\r\n>>graph6<<{k33}\r\n {c5} \r\n\t>>graph6<< {skip}\r\n".encode())
+    one = tmp_path / "one.g6"
+    one.write_bytes(f">>graph6<<\r\n  >>graph6<<{k33} \r\n\r\n".encode())
+    records = sorted([k4, k33, c5, skip])
+
+    # the record read is the report's text: nothing is written anew
+    def not_called(g):
+        raise AssertionError("a read graph was written anew")
+
+    monkeypatch.setattr(cli, "write_graph6", not_called)
+    monkeypatch.setattr(verdicts, "write_graph6", not_called)
+
+    def first_column(out, fmt):
+        if fmt == "json":
+            return sorted(r["graph6"] for r in json_lines(out) if "graph6" in r)
+        if fmt == "csv":
+            return sorted(row[0] for row in list(csv.reader(out.splitlines()))[1:])
+        return sorted(line.split()[0] for line in out.splitlines())
+
+    for jobs in ("1", "2"):
+        for fmt in ("json", "csv"):
+            code, out = run(capsys, ["verify", "--graphs", str(corpus), "--target", "indsets", "--jobs", jobs, "--format", fmt])
+            assert code == EXIT_OK
+            # csv has no line for a skipped record
+            assert first_column(out, fmt) == (records if fmt == "json" else sorted([k4, k33, c5])), (jobs, fmt)
+    for fmt in ("json", "csv", "text"):
+        code, out = run(capsys, ["count", "--graph", str(corpus), "--q", "3", "--format", fmt])
+        assert code == EXIT_OK
+        assert first_column(out, fmt) == records, fmt
+    code, out = run(capsys, ["bounds", "--n", "6", "--d", "3", "--q", "3", "--graphs", str(corpus)])
+    assert code == EXIT_OK
+    assert first_column(out, "json") == records
+    code, out = run(capsys, ["certificate", "--graph", str(one), "--q", "3"])
+    assert json_lines(out)[0]["graph6"] == k33
+
+
+def test_count_backtrack_past_the_node_cap_exits_before_k_q_is_built(tmp_path):
+    # with n >= 2 the second vertex has at most one earlier neighbour, so the
+    # search charges q + q(q - 1) = q^2 nodes: q = 10^5 cannot finish, and
+    # K_q alone would need more than 1 GiB
+    limit = 1 << 30
+    in_1_gib = dict(preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    k4 = write_g6(tmp_path, "k4.g6", [complete(4)])
+    for method in ("backtrack", "both"):
+        proc = _cli(["count", "--graph", k4, "--q", str(10**5), "--method", method], **in_1_gib)
+        assert (proc.returncode, proc.stdout) == (EXIT_CAP, b""), method
+        assert proc.stderr == b"error: homomorphism backtracking exceeds search-node cap 100000000\n", method

@@ -475,3 +475,20 @@ def test_greedy_matching_is_maximal_and_bounds_alpha():
         for u, v in g.edges():
             assert u in matched or v in matched
         assert g.n - 2 * len(m) <= independence_number(g)
+
+
+def test_backtrack_refuses_k_q_exactly_when_the_search_cannot_finish(monkeypatch):
+    import chromacount.counting as counting
+
+    # K_2 charges q + q(q - 1) = q^2 search nodes and K_1 charges q; past the
+    # cap the target is never built
+    built = []
+    monkeypatch.setattr(counting, "BACKTRACK_NODE_CAP", 16)
+    monkeypatch.setattr(counting, "complete_target", lambda q: built.append(q) or complete_target(q))
+    assert count_colorings(complete(2), 4, "backtrack") == 12
+    assert count_colorings(complete(1), 16, "backtrack") == 16
+    assert built == [4, 16]
+    for g, q in ((complete(2), 5), (complete(1), 17)):
+        with pytest.raises(CapExceededError, match="search-node cap 16"):
+            count_colorings(g, q, "backtrack")
+    assert built == [4, 16]
