@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(
         (
-            "Certificate", "CertificateReport", "DProfile", "LemmaBound", "build_certificate", "compatible_count",
-            "container_size_cap", "d_profile", "explicit_weak_bound", "lemma_opt_bound", "phi", "refined_bound",
-            "threshold", "verify_certificate",
+            "Certificate", "CertificateReport", "DProfile", "LemmaBound", "build_certificate", "container_size_cap",
+            "d_profile", "explicit_weak_bound", "lemma_opt_bound", "phi", "refined_bound", "threshold", "verify_certificate",
         ),
         "certificates",
     ),

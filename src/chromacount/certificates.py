@@ -207,12 +207,6 @@ def d_profile(g: Graph, coloring: Sequence[int], q: int, t: int) -> DProfile:
     return _profile_from_sets(n, d_sets)
 
 
-def compatible_count(profile: DProfile) -> int:
-    """Exact number of ordered partitions compatible with the containers:
-    the product of the multiplicities."""
-    return profile.product
-
-
 def _padded(n: int, profile: DProfile) -> tuple[DProfile, int]:
     """The profile with its largest container (the first of equal ones)
     padded with the smallest missing vertices up to ceil(n/2) vertices, and

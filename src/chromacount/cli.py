@@ -25,18 +25,18 @@ from .errors import CapExceededError, Graph6ParseError, InvalidParameterError, N
 from .graphs import (
     Graph,
     TargetGraph,
-    classify,
     enumerate_regular,
     mask_of,
     parse_graph6,
+    regular_degree,
     target_from_edges,
     vertices_of,
 )
-# not called here: bench/tracing.py wraps cli.write_graph6 by name, so the
-# name stays importable
-from .graphs import write_graph6  # noqa: F401
+# not called here: bench/tracing.py wraps cli.classify and cli.write_graph6
+# by name, so the names stay importable
+from .graphs import classify, write_graph6  # noqa: F401
 from .kdd import eta, m_count
-from .verdicts import _eps_fraction, _regular_degree, alon_kahn_verdict, alpha_admitted, conjecture_verdict, constrained_scan, hom_conjecture_verdict, reference_bound
+from .verdicts import _eps_fraction, alon_kahn_verdict, alpha_admitted, conjecture_verdict, constrained_scan, hom_conjecture_verdict, reference_bound
 # a module that only some subcommands run (certificates, records) is imported
 # inside them, so that the others neither load nor compile it
 
@@ -87,6 +87,11 @@ def _parsed(path: str) -> Iterator[tuple[str, Graph]]:
     return ((record, _parse(line, record)) for line, record in _records(path))
 
 
+# a hom target's k rows of k bits take time about k^2 to build and check;
+# 2^32 bits allow k <= 65536
+TARGET_BIT_CAP = 1 << 32
+
+
 def _load_target(path: str) -> TargetGraph:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -95,6 +100,8 @@ def _load_target(path: str) -> TargetGraph:
         if isinstance(k, int):
             # before the rows are built, and whether or not a graph follows
             counting.check_backtrack_target(k)
+            if k > 0 and k * k > TARGET_BIT_CAP:
+                raise CapExceededError(f"hom target of {k} vertices needs {k * k} adjacency bits, over the cap of {TARGET_BIT_CAP} bits")
         return target_from_edges(k, edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f'hom target {path} is not {{"k": K, "edges": [[u, v], ...]}}: {exc}') from None
@@ -188,7 +195,7 @@ def cmd_count(args) -> int:
             "type": "count",
             "graph6": record,
             "n": g.n,
-            "d": classify(g).degree,
+            "d": regular_degree(g),
             "q": args.q,
             "method": args.method,
         }
@@ -368,8 +375,8 @@ def cmd_certificate(args) -> int:
     if len(graphs) != 1:
         raise InvalidParameterError("--graph must supply exactly one graph")
     ((record, g),) = graphs
-    cls = classify(g)
-    if cls.degree is None or cls.degree < 2:
+    d = regular_degree(g)
+    if d is None or d < 2:
         raise InvalidParameterError("certificate requires a d-regular graph with d >= 2")
     if args.indset == "auto":
         indset = mask_of(maximum_independent_set(g))
@@ -383,15 +390,15 @@ def cmd_certificate(args) -> int:
         if any(not 0 <= v < g.n for v in verts):
             raise InvalidParameterError("--indset vertices out of range")
         indset = mask_of(verts)
-    cert = build_certificate(g, indset, threshold(cls.degree, args.q))
+    cert = build_certificate(g, indset, threshold(d, args.q))
     report = verify_certificate(g, cert)
     rec = {
         "type": "certificate",
         "graph6": record,
         "n": g.n,
-        "d": cls.degree,
+        "d": d,
         "q": args.q,
-        "phi": phi(cls.degree, args.q),
+        "phi": phi(d, args.q),
         "indset": vertices_of(cert.source_mask),
         "t": vertices_of(cert.t_mask),
         "d_set": vertices_of(cert.d_mask),
@@ -411,7 +418,7 @@ def _matching(path: str, n: int, d: int) -> Iterator[Graph]:
     """The graphs of `path`, each checked against --n/--d as it is parsed."""
     for line, record in _records(path):
         g = _parse(line, record)
-        dg = _regular_degree(g, min_d=0)
+        dg = regular_degree(g)
         if (g.n, dg) != (n, d):
             raise InvalidParameterError(f"line {line}: graph ({g.n},{dg}) does not match --n/--d ({n},{d})")
         yield g
@@ -507,9 +514,9 @@ def cmd_bounds(args) -> int:
     violation = False
     if args.graphs:
         for record, g in _parsed(args.graphs):
-            cls = classify(g)
-            row = {"type": "bounds-row", "graph6": record, "n": g.n, "d": cls.degree, "q": q}
-            if cls.degree != d or g.n != n:
+            dg = regular_degree(g)
+            row = {"type": "bounds-row", "graph6": record, "n": g.n, "d": dg, "q": q}
+            if dg != d or g.n != n:
                 row["skipped"] = "does not match --n/--d"
                 records.append(row)
                 continue
@@ -542,7 +549,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="exact coloring counts for graph6 input")
     p.add_argument("--graph", required=True, help="graph6 file, or - for stdin")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--method", choices=["backtrack", "polynomial", "both"], default="backtrack")
+    p.add_argument("--method", choices=["frontier", "backtrack", "polynomial", "both"], default="frontier")
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_count)

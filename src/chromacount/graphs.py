@@ -228,15 +228,21 @@ Classification = namedtuple("Classification", [
 ])
 
 
+def regular_degree(g: Graph) -> int | None:
+    """The common degree of g's vertices, or None if they differ or g has
+    no vertex."""
+    degrees = {row.bit_count() for row in g.rows}
+    return degrees.pop() if len(degrees) == 1 else None
+
+
 def classify(g: Graph) -> Classification:
     """Regularity, bipartiteness and component count.  G is bipartite iff
     its bipartite double cover, whose vertex v + n mirrors v, has twice as
     many components as G."""
-    degs = {row.bit_count() for row in g.rows}
     comps = len(components(g.rows, (1 << g.n) - 1))
     cover = [r << g.n for r in g.rows] + list(g.rows)
     bipartite = len(components(cover, (1 << 2 * g.n) - 1)) == 2 * comps
-    return Classification(g.n, degs.pop() if len(degs) == 1 else None, bipartite, comps)
+    return Classification(g.n, regular_degree(g), bipartite, comps)
 
 
 def bfs(rows: Sequence[int], mask: int) -> tuple[list[int], list[int]]:

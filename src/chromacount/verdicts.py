@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .counting import count_colorings, count_homomorphisms, count_independent_sets, independence_number
 from .errors import InvalidParameterError, NotRegularError
-from .graphs import Graph, TargetGraph, complete, complete_bipartite, write_graph6
+from .graphs import Graph, TargetGraph, complete, complete_bipartite, regular_degree, write_graph6
 # not called here: bench/tracing.py wraps verdicts.classify by name, so the
 # name stays importable
 from .graphs import classify  # noqa: F401
@@ -50,10 +50,9 @@ Verdict = namedtuple("Verdict", [
 
 
 def _regular_degree(g: Graph, min_d: int = 2) -> int:
-    degrees = {row.bit_count() for row in g.rows}
-    if len(degrees) != 1:
+    d = regular_degree(g)
+    if d is None:
         raise NotRegularError("graph is not regular")
-    (d,) = degrees
     if d < min_d:
         raise NotRegularError(f"degree must be at least {min_d}")
     return d

@@ -11,7 +11,6 @@ from chromacount import (
     build_certificate,
     canonical_key,
     complete_bipartite,
-    compatible_count,
     conjecture_verdict,
     constrained_scan,
     count_colorings,
@@ -262,5 +261,5 @@ def test_criterion_11_compatible_count_equivalence():
         q = rng.randint(1, 3)
         d_sets = [rng.randrange(1 << n) for _ in range(q)]
         prof = _profile_from_sets(n, d_sets)
-        assert compatible_count(prof) == brute_compatible_partitions(n, q, d_sets)
+        assert prof.product == brute_compatible_partitions(n, q, d_sets)
     report(11, "product of multiplicities = brute-force compatible-partition count on 500 random profiles (n<=6, q<=3)")

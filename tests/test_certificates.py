@@ -11,7 +11,6 @@ from chromacount import (
     build_certificate,
     complete,
     complete_bipartite,
-    compatible_count,
     container_size_cap,
     count_colorings,
     count_colorings_kdd,
@@ -273,19 +272,19 @@ def test_compatible_count_equals_brute_force():
         q = rng.randint(1, 3)
         d_sets = [rng.randrange(1 << n) for _ in range(q)]
         prof = _profile_from_sets(n, d_sets)
-        assert compatible_count(prof) == brute_compatible_partitions(n, q, d_sets)
+        assert prof.product == brute_compatible_partitions(n, q, d_sets)
     # any vertex left out of every container kills the count
     prof = _profile_from_sets(3, [0b011, 0b001])
-    assert compatible_count(prof) == 0
+    assert prof.product == 0
     # every vertex in both containers: free choice, 2^n
     prof = _profile_from_sets(4, [0b1111, 0b1111])
-    assert compatible_count(prof) == 16
+    assert prof.product == 16
 
 
 def test_refined_bound_reduces_to_product_without_edges():
     g = complete_bipartite(2, 2)
     prof = _profile_from_sets(4, [0b0011, 0b0100, 0b1000])  # D1 = one side, independent
-    assert refined_bound(g, prof, 3) == compatible_count(prof)
+    assert refined_bound(g, prof, 3) == prof.product
 
 
 def test_refined_bound_dominates_brute_force():

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import math
@@ -14,7 +15,7 @@ import warnings
 
 import pytest
 
-from chromacount import complete, complete_bipartite, cycle, disjoint_copies, write_graph6
+from chromacount import Graph, complete, complete_bipartite, cycle, disjoint_copies, write_graph6
 from chromacount.cli import EXIT_CAP, EXIT_CROSSCHECK, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 from helpers import k4_minus_edge, petersen, random_regular, reference_verify_report, regular_family
@@ -117,7 +118,7 @@ def test_backtracking_over_node_cap_exits_cap(tmp_path, capsys, monkeypatch):
     path = write_g6(tmp_path, "k33.g6", [complete_bipartite(3, 3)])
     hfile = tmp_path / "h.json"
     hfile.write_text(json.dumps({"k": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))
-    for argv in (["count", "--graph", path, "--q", "3"], ["verify", "--graphs", path, "--target", f"hom:{hfile}"]):
+    for argv in (["count", "--graph", path, "--q", "3", "--method", "backtrack"], ["verify", "--graphs", path, "--target", f"hom:{hfile}"]):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == EXIT_CAP and captured.out == "", argv
@@ -133,6 +134,52 @@ def test_count_both_beyond_former_n_cap(tmp_path, capsys):
     recs = json_lines(out)
     assert [r["n"] for r in recs] == [g.n for g in graphs]
     assert all(r["cross_check"] == "ok" and r["value"] == r["polynomial_value"] for r in recs)
+
+
+def test_count_default_is_the_frontier_pass_with_the_backtracking_values(tmp_path, capsys):
+    # the default report is the backtracking report with method "frontier"
+    graphs = [g for n in (4, 6, 8) for g in regular_family(n, 3)]
+    graphs += [petersen(), k4_minus_edge(), cycle(5), complete(1), complete(2)]
+    path = write_g6(tmp_path, "g.g6", graphs)
+    for q in range(6):
+        for fmt in ("json", "csv", "text"):
+            argv = ["count", "--graph", path, "--q", str(q), "--format", fmt]
+            outs = [run(capsys, argv + method) for method in ([], ["--method", "frontier"], ["--method", "backtrack"])]
+            assert [code for code, _ in outs] == [EXIT_OK] * 3, argv
+            default, frontier, back = (out for _, out in outs)
+            if fmt == "json":
+                back = back.replace('"method": "backtrack"', '"method": "frontier"')
+            elif fmt == "csv":
+                back = back.replace(",backtrack,", ",frontier,")
+            assert default == frontier == back, argv
+            assert len(default.splitlines()) == len(graphs) + (fmt == "csv")
+
+
+def test_count_answers_past_the_backtracking_node_cap(tmp_path, capsys, monkeypatch):
+    # backtracking exits 65 at its node cap on both graphs
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import corpora
+
+    for n in (20, 30):
+        path = write_g6(tmp_path, "g.g6", [Graph(n, tuple(corpora.random_regular(n, 3, random.Random(1))))])
+        start = time.perf_counter()
+        code, out = run(capsys, ["count", "--graph", path, "--q", "4"])
+        assert code == EXIT_OK and time.perf_counter() - start < 1, n
+        code, verified = run(capsys, ["verify", "--graphs", path, "--q", "4"])
+        assert code == EXIT_OK
+        (rec,) = json_lines(out)
+        assert rec["value"] == json_lines(verified)[0]["comparisons"][0]["lhs_base"], n
+
+
+def test_count_over_state_cap_exits_cap(tmp_path, capsys, monkeypatch):
+    import chromacount.counting as counting
+
+    monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", 3)
+    path = write_g6(tmp_path, "k33.g6", [complete_bipartite(3, 3)])
+    code = main(["count", "--graph", path, "--q", "4"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_CAP, "")
+    assert captured.err == "error: frontier pass exceeds state cap 3 at vertex 4 of 6\n"
 
 
 def test_verify_cubic_corpus(tmp_path, capsys):
@@ -832,6 +879,18 @@ def test_verify_makes_no_classify_call(tmp_path, capsys, monkeypatch):
         assert [r for r in json_lines(out) if r["type"] == "skipped"] == skipped
     code, _ = run(capsys, ["verify", "--graphs", path, "--q", "-1"])
     assert code == EXIT_USAGE
+    # the other corpus commands read the degree from the rows too
+    one = write_g6(tmp_path, "one.g6", [petersen()])
+    cubic = write_g6(tmp_path, "cubic.g6", list(regular_family(6, 3)))
+    for argv in (
+        ["count", "--graph", path, "--q", "3"],
+        ["bounds", "--n", "6", "--d", "3", "--q", "3", "--graphs", path],
+        ["certificate", "--graph", one, "--q", "3"],
+        ["scan", "--n", "6", "--d", "3", "--q", "3", "--graphs", cubic],
+    ):
+        code, _ = run(capsys, argv)
+        assert code == EXIT_OK, argv
+        assert calls == [], argv
 
 
 def test_verify_indsets_reach(tmp_path, capsys):
@@ -1372,11 +1431,12 @@ def test_scan_file_refuses_each_graph_of_other_n_d_as_it_is_parsed(tmp_path, cap
         assert (code, captured.out) == (EXIT_USAGE, ""), argv
         assert captured.err == f"error: line 1: graph (4,3) does not match --n/--d ({n},{d})\n", argv
         assert not records.exists()
-    # a graph that is not regular is still refused as such
-    irregular = write_g6(tmp_path, "k4e.g6", [k4_minus_edge()])
+    # a graph that is not regular (line 2; line 1 matches) is refused the
+    # same way, with no degree
+    irregular = write_g6(tmp_path, "k4e.g6", [cycle(4), k4_minus_edge()])
     code = main(["scan", "--n", "4", "--d", "2", "--q", "3", "--source", "file", "--graphs", irregular])
     captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (EXIT_USAGE, "", "error: graph is not regular\n")
+    assert (code, captured.out, captured.err) == (EXIT_USAGE, "", "error: line 2: graph (4,None) does not match --n/--d (4,2)\n")
 
 
 @pytest.mark.parametrize("eps", [-0.1, 1.5])
@@ -1521,7 +1581,7 @@ def test_target_over_node_cap_exits_cap_before_it_is_built(tmp_path):
     hfile = tmp_path / "h.json"
     hfile.write_text(json.dumps({"k": 10**14, "edges": []}))
     for argv in (
-        ["count", "--graph", k4, "--q", str(10**20)],
+        ["count", "--graph", k4, "--q", str(10**20), "--method", "backtrack"],
         ["verify", "--graphs", k4, "--target", f"hom:{hfile}"],
         # the target is refused as it is read, graph or no graph
         ["verify", "--graphs", str(empty), "--target", f"hom:{hfile}"],
@@ -1529,6 +1589,43 @@ def test_target_over_node_cap_exits_cap_before_it_is_built(tmp_path):
         proc = _cli(argv, **in_1_gib)
         assert (proc.returncode, proc.stdout) == (EXIT_CAP, b""), argv
         assert proc.stderr == b"error: homomorphism backtracking exceeds search-node cap 100000000\n", argv
+
+
+def test_hom_target_over_the_bit_cap_exits_cap_before_it_is_built(tmp_path):
+    # k rows of k bits: past 2^32 bits the target is refused as it is read
+    limit = 1 << 30
+    in_1_gib = dict(preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    hfile = tmp_path / "h.json"
+    argv = ["verify", "--graphs", str(empty), "--target", f"hom:{hfile}"]
+    for k in (2**16 + 1, 10**6, 10**8):
+        hfile.write_text(json.dumps({"k": k, "edges": []}))
+        start = time.perf_counter()
+        proc = _cli(argv, **in_1_gib)
+        assert time.perf_counter() - start < 5, k
+        assert (proc.returncode, proc.stdout) == (EXIT_CAP, b""), k
+        assert proc.stderr == f"error: hom target of {k} vertices needs {k * k} adjacency bits, over the cap of 4294967296 bits\n".encode(), k
+    # the largest target under the cap is built and loads
+    hfile.write_text(json.dumps({"k": 2**16, "edges": [[0, 2**16 - 1]]}))
+    proc = _cli(argv, **in_1_gib)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+    assert json.loads(proc.stdout)["total"] == 0
+
+
+def test_readme_cli_usage_shows_every_choice():
+    from chromacount.cli import _build_parser
+
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    usage = {line.split()[1]: line for line in block.splitlines() if line.startswith("chromacount ")}
+    (sub,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(usage) == sorted(sub.choices)
+    for name, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.choices:
+                option = f"[{action.option_strings[0]} {'|'.join(action.choices)}]"
+                assert option in usage[name], (name, option)
 
 
 def test_records_store_keeps_the_least_tied_argmax(tmp_path, capsys):

@@ -30,7 +30,7 @@ from chromacount import (
     write_graph6,
 )
 from chromacount import count_homomorphisms, graphs
-from chromacount.graphs import _blocks, _is_canonical_prefix, _pack_blocks, bfs, components
+from chromacount.graphs import _blocks, _is_canonical_prefix, _pack_blocks, bfs, components, regular_degree
 
 from helpers import (
     k4_minus_edge,
@@ -497,6 +497,22 @@ def _check_classify(nx, g):
     assert c.degree == (degrees.pop() if len(degrees) == 1 else None)
     assert c.bipartite == nx.is_bipartite(ng)
     assert c.components == nx.number_connected_components(ng)
+
+
+def test_regular_degree_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(12)
+    cases = [Graph(0, ())]
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        cases += [from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1]) for bits in range(1 << len(pairs))]
+    cases += [random_regular(n, d, rng) for n, d in ((20, 3), (21, 4), (30, 5), (16, 0))]
+    for g in cases:
+        ng = nx.Graph()
+        ng.add_nodes_from(range(g.n))
+        ng.add_edges_from(g.edges())
+        degrees = {deg for _, deg in ng.degree()}
+        assert regular_degree(g) == (degrees.pop() if len(degrees) == 1 else None)
 
 
 def test_components_match_networkx():

@@ -17,9 +17,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # every public name, by the submodule that defines it
 EXPORTS = {
     certificates: [
-        "Certificate", "CertificateReport", "DProfile", "LemmaBound", "build_certificate", "compatible_count",
-        "container_size_cap", "d_profile", "explicit_weak_bound", "lemma_opt_bound", "phi", "refined_bound",
-        "threshold", "verify_certificate",
+        "Certificate", "CertificateReport", "DProfile", "LemmaBound", "build_certificate", "container_size_cap",
+        "d_profile", "explicit_weak_bound", "lemma_opt_bound", "phi", "refined_bound", "threshold", "verify_certificate",
     ],
     counting: [
         "chromatic_polynomial", "count_colorings", "count_homomorphisms", "count_independent_sets",
