@@ -23,27 +23,24 @@ _EXPORTS = {
         ),
         "counting",
     ),
-    **dict.fromkeys(("CapExceededError", "Graph6ParseError", "InvalidParameterError", "UnsupportedSizeError"), "errors"),
+    **dict.fromkeys(
+        ("CapExceededError", "Graph6ParseError", "InvalidParameterError", "NotRegularError", "UnsupportedSizeError"),
+        "errors",
+    ),
     **dict.fromkeys(
         (
             "Classification", "Graph", "TargetGraph", "canonical_key", "classify", "complete", "complete_bipartite",
-            "complete_target", "cycle", "disjoint_copies", "disjoint_union", "enumerate_regular", "from_edges",
-            "h_ind", "induced_subgraph", "looped_vertex", "mask_of", "parse_graph6", "relabel", "target_from_edges",
-            "vertices_of", "write_graph6",
+            "complete_target", "components", "cycle", "disjoint_copies", "disjoint_union", "enumerate_regular",
+            "from_edges", "h_ind", "induced_subgraph", "looped_vertex", "mask_of", "parse_graph6", "regular_degree",
+            "relabel", "target_from_edges", "vertices_of", "write_graph6",
         ),
         "graphs",
     ),
+    **dict.fromkeys(("GapReport", "asymptotic_gap", "count_colorings_kdd", "eta", "m_count", "surjections"), "kdd"),
     **dict.fromkeys(
         (
-            "ColorPairCensus", "GapReport", "PairClass", "asymptotic_gap", "count_colorings_kdd", "eta", "m_count",
-            "pair_census", "surjections",
-        ),
-        "kdd",
-    ),
-    **dict.fromkeys(
-        (
-            "PowerComparison", "ReferenceBound", "ScanResult", "ScanRow", "Verdict", "alon_kahn_verdict",
-            "conjecture_verdict", "constrained_scan", "hom_conjecture_verdict", "reference_bound",
+            "PowerComparison", "ScanResult", "ScanRow", "Verdict", "alon_kahn_verdict", "conjecture_verdict",
+            "constrained_scan", "hom_conjecture_verdict",
         ),
         "verdicts",
     ),

@@ -148,16 +148,10 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateReport:
 # Per-coloring container profiles and the compatible-partition bound
 # ---------------------------------------------------------------------------
 
-class DProfile(namedtuple("DProfile", "d_sets multiplicities product total")):
-    """Container list (D_1..D_q) with, for every vertex v, the multiplicity
-    a_v = #{k : v in D_k}; `product` is the exact number of ordered vertex
-    partitions (I_1..I_q) with I_k contained in D_k."""
-
-    __slots__ = ()
-
-    @property
-    def q(self) -> int:
-        return len(self.d_sets)
+# Container list (D_1..D_q) with, for every vertex v, the multiplicity
+# a_v = #{k : v in D_k}; `product` is the exact number of ordered vertex
+# partitions (I_1..I_q) with I_k contained in D_k.
+DProfile = namedtuple("DProfile", "d_sets multiplicities product total")
 
 
 def _profile_from_sets(n: int, d_sets: Sequence[int]) -> DProfile:

@@ -35,8 +35,8 @@ from .graphs import (
 # not called here: bench/tracing.py wraps cli.classify and cli.write_graph6
 # by name, so the names stay importable
 from .graphs import classify, write_graph6  # noqa: F401
-from .kdd import eta, m_count
-from .verdicts import _eps_fraction, alon_kahn_verdict, alpha_admitted, conjecture_verdict, constrained_scan, hom_conjecture_verdict, reference_bound
+from .kdd import count_colorings_kdd, eta, m_count
+from .verdicts import _eps_fraction, alon_kahn_verdict, alpha_admitted, conjecture_verdict, constrained_scan, hom_conjecture_verdict
 # a module that only some subcommands run (certificates, records) is imported
 # inside them, so that the others neither load nor compile it
 
@@ -487,13 +487,15 @@ def cmd_bounds(args) -> int:
     if n < d + 1:
         # no such family at any q; explicit_weak_bound refuses it too
         raise InvalidParameterError("n must be at least d+1")
+    if d < 1 or q < 2 or n < 1:
+        raise InvalidParameterError("need d >= 1, q >= 2, n >= 1")
     # c_q(K_{d,d}) <= q^(2d), m_count(q) < 2^(q+1) and, at q >= 3, the weak
     # bound <= 2^(qn) q^n, since its multiplicities sum to less than qn
     bits = max(2 * d * q.bit_length(), q + 1, n * (q + q.bit_length()) if q >= 3 else 0)
-    if bits > BOUNDS_BIT_CAP and d >= 1 and q >= 2:  # reference_bound refuses the rest
+    if bits > BOUNDS_BIT_CAP:
         raise CapExceededError(f"bounds at n={n}, d={d}, q={q} may need {bits}-bit integers, over the cap of {BOUNDS_BIT_CAP} bits")
-    ref = reference_bound(n, d, q)
-    reference_base = _decimal(ref.base)
+    base = count_colorings_kdd(d, q)
+    reference_base = _decimal(base)
     weak = explicit_weak_bound(n, d, q) if q >= 3 else None
     weak_eps = explicit_weak_bound(n, d, q, eps) if (weak is not None and eps is not None) else None
     head = {
@@ -503,8 +505,8 @@ def cmd_bounds(args) -> int:
         "q": q,
         "eps": args.eps,
         "reference_base": reference_base,
-        "reference_exp": [ref.exp_num, ref.exp_den],
-        "reference_log2": math.log2(ref.base) * ref.exp_num / ref.exp_den,
+        "reference_exp": [n, 2 * d],
+        "reference_log2": math.log2(base) * n / (2 * d),
         "idealized_log2": math.log2(eta(q)) * n / 2 + math.log2(m_count(q)) * n / (2 * d),
         "eta_pow_log2": math.log2(eta(q)) * n / 2,
         "weak_bound_log2": None if weak is None else math.log2(weak),

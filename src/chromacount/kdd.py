@@ -3,7 +3,8 @@
 A coloring of K_{d,d} is determined by the disjoint nonempty color sets A
 (colors seen on one side) and B (colors seen on the other); the class for a
 size pair (a, b) holds C(q,a)*C(q-a,b) ordered pairs, each of exact size
-Surj(d,a)*Surj(d,b).  The dominant classes maximize the product a*b.
+Surj(d,a)*Surj(d,b).  The dominant classes maximize the product a*b: `eta`
+is that maximum and `m_count` the number of ordered pairs attaining it.
 """
 from __future__ import annotations
 
@@ -51,57 +52,6 @@ def count_colorings_kdd(d: int, q: int) -> int:
     if q < 0:
         raise InvalidParameterError("q must be non-negative")
     return sum(comb(q, a) * surjections(d, a) * (q - a) ** d for a in range(1, min(d, q) + 1))
-
-
-PairClass = namedtuple("PairClass", [
-    "a",
-    "b",
-    "pairs",       # ordered pairs (A,B) with |A|=a, |B|=b
-    "product",     # a*b
-    "class_size",  # colorings per pair: Surj(d,a)*Surj(d,b)
-])
-
-
-class ColorPairCensus(namedtuple("ColorPairCensus", "d q entries")):
-    # entries: tuple of PairClass
-    __slots__ = ()
-
-    @property
-    def total(self) -> int:
-        return sum(e.pairs * e.class_size for e in self.entries)
-
-    @property
-    def pair_total(self) -> int:
-        return sum(e.pairs for e in self.entries)
-
-    @property
-    def max_product(self) -> int:
-        return max((e.product for e in self.entries), default=0)
-
-    @property
-    def dominant_pairs(self) -> int:
-        top = self.max_product
-        return sum(e.pairs for e in self.entries if e.product == top)
-
-
-def pair_census(d: int, q: int) -> ColorPairCensus:
-    """Census over ordered size pairs (a,b), a,b >= 1, a+b <= q, indexed by
-    sizes with multiplicities instead of materialized subsets."""
-    if d < 1 or q < 1:
-        raise InvalidParameterError("d and q must be at least 1")
-    entries = []
-    for a in range(1, q):
-        for b in range(1, q - a + 1):
-            entries.append(
-                PairClass(
-                    a=a,
-                    b=b,
-                    pairs=comb(q, a) * comb(q - a, b),
-                    product=a * b,
-                    class_size=surjections(d, a) * surjections(d, b),
-                )
-            )
-    return ColorPairCensus(d, q, tuple(entries))
 
 
 GapReport = namedtuple("GapReport", [

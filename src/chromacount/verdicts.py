@@ -85,20 +85,6 @@ def hom_conjecture_verdict(g: Graph, h: TargetGraph) -> Verdict:
     return Verdict("hom", (kdd_side, clique_side), holds, equality, slack)
 
 
-ReferenceBound = namedtuple("ReferenceBound", [
-    "base",     # c_q(K_{d,d})
-    "exp_num",  # n
-    "exp_den",  # 2d
-])
-
-
-def reference_bound(n: int, d: int, q: int) -> ReferenceBound:
-    """The exact reference c_q(K_{d,d})^(n/2d) as a (base, n, 2d) triple."""
-    if d < 1 or q < 2 or n < 1:
-        raise InvalidParameterError("need d >= 1, q >= 2, n >= 1")
-    return ReferenceBound(count_colorings_kdd(d, q), n, 2 * d)
-
-
 def alon_kahn_verdict(g: Graph) -> Verdict:
     """Exact check of i(G)^(2d) <= (2^(d+1) - 1)^n for a d-regular G."""
     d = _regular_degree(g)

@@ -613,6 +613,12 @@ def test_bounds_domain_error(capsys, monkeypatch):
             code = main(["bounds", "--n", n, "--d", d, "--q", q])
             captured = capsys.readouterr()
             assert (code, captured.out, captured.err) == (EXIT_USAGE, "", "error: n must be at least d+1\n"), (n, d, q)
+    # outside the reference's domain, refused even where the bit cap would
+    # refuse a valid (n, d, q)
+    for n, d, q in (("4", "3", "1"), ("4", "0", "10000000"), ("4", "3", "-5"), ("0", "-2", "3")):
+        code = main(["bounds", "--n", n, "--d", d, "--q", q])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (EXIT_USAGE, "", "error: need d >= 1, q >= 2, n >= 1\n"), (n, d, q)
 
 
 LONG_COUNT_ERROR = r"error: a count of \d+ bits exceeds the integer-to-string limit of \d+ digits\n"
@@ -791,7 +797,7 @@ def test_bad_output_path_exits_before_work(tmp_path, capsys, monkeypatch, case):
         raise AssertionError("the work started before the output path was checked")
 
     work = ("count_colorings", "chromatic_polynomial", "count_homomorphisms", "count_independent_sets",
-            "independence_number", "maximum_independent_set", "enumerate_regular", "reference_bound")
+            "independence_number", "maximum_independent_set", "enumerate_regular", "count_colorings_kdd")
     for module in (cli, counting, verdicts):
         for name in work:
             if hasattr(module, name):

@@ -2,6 +2,7 @@
 first use, and a subcommand imports only the modules it runs."""
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -24,20 +25,17 @@ EXPORTS = {
         "chromatic_polynomial", "count_colorings", "count_homomorphisms", "count_independent_sets",
         "evaluate_polynomial", "greedy_maximal_matching", "independence_number", "maximum_independent_set",
     ],
-    errors: ["CapExceededError", "Graph6ParseError", "InvalidParameterError", "UnsupportedSizeError"],
+    errors: ["CapExceededError", "Graph6ParseError", "InvalidParameterError", "NotRegularError", "UnsupportedSizeError"],
     graphs: [
         "Classification", "Graph", "TargetGraph", "canonical_key", "classify", "complete", "complete_bipartite",
-        "complete_target", "cycle", "disjoint_copies", "disjoint_union", "enumerate_regular", "from_edges", "h_ind",
-        "induced_subgraph", "looped_vertex", "mask_of", "parse_graph6", "relabel", "target_from_edges",
-        "vertices_of", "write_graph6",
+        "complete_target", "components", "cycle", "disjoint_copies", "disjoint_union", "enumerate_regular",
+        "from_edges", "h_ind", "induced_subgraph", "looped_vertex", "mask_of", "parse_graph6", "regular_degree",
+        "relabel", "target_from_edges", "vertices_of", "write_graph6",
     ],
-    kdd: [
-        "ColorPairCensus", "GapReport", "PairClass", "asymptotic_gap", "count_colorings_kdd", "eta", "m_count",
-        "pair_census", "surjections",
-    ],
+    kdd: ["GapReport", "asymptotic_gap", "count_colorings_kdd", "eta", "m_count", "surjections"],
     verdicts: [
-        "PowerComparison", "ReferenceBound", "ScanResult", "ScanRow", "Verdict", "alon_kahn_verdict",
-        "conjecture_verdict", "constrained_scan", "hom_conjecture_verdict", "reference_bound",
+        "PowerComparison", "ScanResult", "ScanRow", "Verdict", "alon_kahn_verdict", "conjecture_verdict",
+        "constrained_scan", "hom_conjecture_verdict",
     ],
 }
 
@@ -124,6 +122,17 @@ def test_every_exported_name_resolves():
             assert namespace[name] is getattr(chromacount, name) is getattr(module, name), name
             assert name in listed, name
     assert "__version__" in listed
+    # README's library table promises each name in its contents column
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        rows = [line.split("|")[2] for line in f if line.startswith("| `chromacount.")]
+    promised = {name for row in rows for name in re.findall(r"`([^`]*)`", row) if name.isidentifier()} - {"None"}
+    assert promised and promised <= set(chromacount.__all__), sorted(promised - set(chromacount.__all__))
+    # and every exception of chromacount.errors
+    raised = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == errors.__name__
+    }
+    assert raised <= set(chromacount.__all__), sorted(raised - set(chromacount.__all__))
 
 
 def test_unknown_name_raises_attribute_error():

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from chromacount import (
     count_colorings_kdd,
     eta,
     m_count,
-    pair_census,
     surjections,
 )
 
@@ -34,6 +34,21 @@ def test_m_count():
     assert m_count(5) == 20  # C(6,3)
     with pytest.raises(InvalidParameterError):
         m_count(-1)
+
+
+def test_closed_forms_match_the_colour_set_pairs():
+    # a coloring of K_{d,d} is an ordered pair (A, B) of disjoint non-empty
+    # colour sets, one per side, with each side mapped onto its set
+    for q in range(2, 8):
+        sizes = Counter(
+            (a.bit_count(), b.bit_count()) for a in range(1, 1 << q) for b in range(1, 1 << q) if not a & b
+        )
+        top = max(a * b for a, b in sizes)
+        assert eta(q) == top
+        assert m_count(q) == sum(pairs for (a, b), pairs in sizes.items() if a * b == top)
+        for d in range(1, 6):
+            expected = sum(pairs * brute_surjections(d, a) * brute_surjections(d, b) for (a, b), pairs in sizes.items())
+            assert count_colorings_kdd(d, q) == expected, (d, q)
 
 
 def test_surjections_small():
@@ -72,36 +87,6 @@ def test_count_colorings_kdd_at_large_q():
 def test_c3_kdd_identity():
     for d in range(1, 51):
         assert count_colorings_kdd(d, 3) == 6 * (2**d - 1)
-
-
-def test_pair_census_totals():
-    for d in range(1, 7):
-        for q in range(2, 7):
-            census = pair_census(d, q)
-            assert census.total == count_colorings_kdd(d, q)
-            assert census.max_product == eta(q)
-            assert census.dominant_pairs == m_count(q)
-
-
-def test_pair_census_examples():
-    census = pair_census(2, 3)
-    dominant = [e for e in census.entries if e.product == census.max_product]
-    assert sorted((e.a, e.b) for e in dominant) == [(1, 2), (2, 1)]
-    assert sum(e.pairs for e in dominant) == 6
-
-    assert pair_census(1, 2).total == 2
-
-    census = pair_census(3, 4)
-    assert census.max_product == 4
-    assert all((e.a, e.b) == (2, 2) for e in census.entries if e.product == 4)
-
-
-def test_pair_census_counts_all_ordered_pairs():
-    # sum of multiplicities = number of ordered disjoint nonempty (A,B)
-    for q in range(2, 7):
-        census = pair_census(2, q)
-        expected = sum(1 for a_mask in range(1, 1 << q) for b_mask in range(1, 1 << q) if not a_mask & b_mask)
-        assert census.pair_total == expected
 
 
 def test_asymptotic_gap_examples():

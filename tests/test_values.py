@@ -21,8 +21,6 @@ from chromacount import (
     d_profile,
     h_ind,
     lemma_opt_bound,
-    pair_census,
-    reference_bound,
     threshold,
     verify_certificate,
 )
@@ -34,19 +32,15 @@ def _one_of_each():
     g = complete_bipartite(3, 3)
     cert = build_certificate(g, 0b000111, threshold(3, 3))
     report = verify_certificate(g, cert)
-    census = pair_census(3, 3)
     verdict = conjecture_verdict(g, 3)
     scan = constrained_scan([g], 3, 0)
     return [
         g,
         h_ind(),
         classify(g),
-        census,
-        census.entries[0],
         asymptotic_gap(3, 3),
         verdict,
         verdict.comparisons[0],
-        reference_bound(6, 3, 3),
         scan,
         scan.rows[0],
         cert,
@@ -60,9 +54,8 @@ def _one_of_each():
 def test_every_value_type_is_covered():
     names = sorted(type(v).__name__ for v in _one_of_each())
     assert names == sorted([
-        "Graph", "TargetGraph", "Classification", "ColorPairCensus", "PairClass", "GapReport", "Verdict",
-        "PowerComparison", "ReferenceBound", "ScanResult", "ScanRow", "Certificate", "CertificateReport",
-        "CheckResult", "DProfile", "LemmaBound",
+        "Graph", "TargetGraph", "Classification", "GapReport", "Verdict", "PowerComparison", "ScanResult",
+        "ScanRow", "Certificate", "CertificateReport", "CheckResult", "DProfile", "LemmaBound",
     ])
 
 

@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from chromacount import (
+    Graph,
     InvalidParameterError,
     alon_kahn_verdict,
-    asymptotic_gap,
+    classify,
     complete,
     complete_bipartite,
     complete_target,
@@ -19,11 +21,10 @@ from chromacount import (
     h_ind,
     hom_conjecture_verdict,
     looped_vertex,
-    reference_bound,
     write_graph6,
 )
 
-from helpers import k4_minus_edge, petersen, prism, regular_corpus, regular_family
+from helpers import k4_minus_edge, petersen, prism, random_regular, regular_corpus, regular_family
 
 
 def test_conjecture_verdict_examples():
@@ -85,20 +86,6 @@ def test_hom_conjecture_examples():
         assert v.comparisons[0].lhs_base == count_independent_sets(g)
 
 
-def test_reference_bound():
-    rb = reference_bound(12, 3, 2)
-    assert rb.base == 2 and (rb.exp_num, rb.exp_den) == (12, 6)
-
-    rb = reference_bound(6, 3, 3)
-    assert rb.base == 42 and (rb.exp_num, rb.exp_den) == (6, 6)
-
-    # at n = 2d the reference is c_3(K_{d,d}) itself; the idealized
-    # eta^d * m approaches it as d grows
-    gaps = [abs(1 - asymptotic_gap(d, 3).ratio) for d in (5, 10, 20)]
-    assert gaps[2] < gaps[1] < gaps[0]
-    assert reference_bound(2 * 20, 20, 3).base == asymptotic_gap(20, 3).colorings
-
-
 def test_alon_kahn_examples():
     v = alon_kahn_verdict(complete_bipartite(3, 3))
     assert v.holds and v.equality
@@ -117,6 +104,26 @@ def test_alon_kahn_on_regular_corpus():
         assert v.holds
         expected_equality = count_independent_sets(g) ** (2 * d) == (2 ** (d + 1) - 1) ** g.n
         assert v.equality == expected_equality
+
+
+def _double_cover(g):
+    # G x K_2: vertex v + n mirrors v, as in classify
+    return Graph(2 * g.n, tuple([r << g.n for r in g.rows] + list(g.rows)))
+
+
+def test_zhao_double_cover_inequality():
+    # Zhao (Combin. Probab. Comput. 2010): i(G)^2 <= i(G x K_2), with
+    # equality on bipartite G, whose cover is two copies of G
+    rng = random.Random(6)
+    sample = [random_regular(n, d, rng) for d in range(3, 7) for n in range(d + 1, 25) if n * d % 2 == 0]
+    bipartite = [_double_cover(g) for g in sample if g.n <= 12]
+    bipartite += [disjoint_copies(complete_bipartite(d, d), t) for d in range(3, 7) for t in (1, 2, 3)]
+    for g in sample + bipartite:
+        square, cover = count_independent_sets(g) ** 2, count_independent_sets(_double_cover(g))
+        assert square <= cover, g
+        # the converse, strictness off bipartite G, was observed on this
+        # sample and is not taken from a paper
+        assert (square == cover) == classify(g).bipartite, g
 
 
 def test_constrained_scan_cubic6():
