@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -36,19 +37,40 @@ def test_m_count():
         m_count(-1)
 
 
-def test_closed_forms_match_the_colour_set_pairs():
-    # a coloring of K_{d,d} is an ordered pair (A, B) of disjoint non-empty
-    # colour sets, one per side, with each side mapped onto its set
+def colour_set_pair_census(q):
+    """Ordered pairs (A, B) of disjoint non-empty subsets of q colours, as bit
+    masks, counted by size pair (|A|, |B|).  A coloring of K_{d,d} is such a
+    pair, one colour set per side, with each side mapped onto its set."""
+    return Counter(
+        (a.bit_count(), b.bit_count()) for a in range(1, 1 << q) for b in range(1, 1 << q) if not a & b
+    )
+
+
+def test_pair_census_totals():
+    # starts at q = 2: at q = 1 there are no pairs, yet m_count(1) is 2
     for q in range(2, 8):
-        sizes = Counter(
-            (a.bit_count(), b.bit_count()) for a in range(1, 1 << q) for b in range(1, 1 << q) if not a & b
-        )
-        top = max(a * b for a, b in sizes)
+        census = colour_set_pair_census(q)
+        top = max(a * b for a, b in census)
         assert eta(q) == top
-        assert m_count(q) == sum(pairs for (a, b), pairs in sizes.items() if a * b == top)
+        assert m_count(q) == sum(pairs for (a, b), pairs in census.items() if a * b == top)
         for d in range(1, 6):
-            expected = sum(pairs * brute_surjections(d, a) * brute_surjections(d, b) for (a, b), pairs in sizes.items())
+            expected = sum(pairs * brute_surjections(d, a) * brute_surjections(d, b) for (a, b), pairs in census.items())
             assert count_colorings_kdd(d, q) == expected, (d, q)
+
+
+def test_pair_census_counts_all_ordered_pairs():
+    # each size class holds C(q,a)*C(q-a,b) pairs, the class sizes that
+    # count_colorings_kdd sums over; together they are all 3^q - 2^(q+1) + 1
+    # ordered disjoint non-empty pairs
+    for q in range(1, 8):
+        census = colour_set_pair_census(q)
+        assert sum(census.values()) == 3**q - 2 ** (q + 1) + 1
+        classes = {(a, b): comb(q, a) * comb(q - a, b) for a in range(1, q) for b in range(1, q - a + 1)}
+        assert census == classes
+        for d in range(1, 6):
+            assert count_colorings_kdd(d, q) == sum(
+                pairs * surjections(d, a) * surjections(d, b) for (a, b), pairs in classes.items()
+            ), (d, q)
 
 
 def test_surjections_small():
