@@ -218,16 +218,11 @@ def cmd_count(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_one(numbered: tuple[int, str], q: int | None, target: str, h: TargetGraph | None) -> dict:
+def _verify_one(numbered: tuple[int, str], verdict, q: int | None) -> dict:
     line, record = numbered
     g = _parse(line, record)
     try:
-        if target == "colorings":
-            v = conjecture_verdict(g, q)
-        elif target == "indsets":
-            v = alon_kahn_verdict(g)
-        else:
-            v = hom_conjecture_verdict(g, h)
+        v = verdict(g)
     except NotRegularError:
         return {"type": "skipped", "graph6": record, "n": g.n, "reason": "not regular with d >= 2"}
     # the verdict has checked that g is regular, so vertex 0 has degree d
@@ -236,7 +231,7 @@ def _verify_one(numbered: tuple[int, str], q: int | None, target: str, h: Target
         "graph6": record,
         "n": g.n,
         "d": g.degree(0),
-        "q": q if target == "colorings" else None,
+        "q": q,
         "target": v.target,
         "holds": v.holds,
         "equality": v.equality,
@@ -255,19 +250,20 @@ def _verify_one(numbered: tuple[int, str], q: int | None, target: str, h: Target
     }
 
 
-# in a pool worker: the event that the run has failed, set by the parent
-_abandoned = None
+# in a pool worker: the event that the run has failed, set by the parent,
+# and the bound verification of one record
+_abandoned = _verify = None
 
 
-def _start_worker(abandoned) -> None:
-    global _abandoned
-    _abandoned = abandoned
+def _start_worker(abandoned, verify) -> None:
+    global _abandoned, _verify
+    _abandoned, _verify = abandoned, verify
 
 
-def _unless_abandoned(verify, numbered: tuple[int, str]) -> dict | None:
+def _unless_abandoned(numbered: tuple[int, str]) -> dict | None:
     # once the run has failed nothing reads the result, so the records not
     # yet started cost nothing
-    return None if _abandoned.is_set() else verify(numbered)
+    return None if _abandoned.is_set() else _verify(numbered)
 
 
 VERIFY_CSV_HEADER = ["graph6", "n", "d", "q", "target", "holds", "equality", "slack_log2"]
@@ -306,22 +302,25 @@ def _verify_report(results: Iterable[dict], fmt: str) -> tuple[list[tuple[str, s
 
 def cmd_verify(args) -> int:
     records = _records(args.graphs)
-    target = args.target
-    h = None
-    if target.startswith("hom:"):
-        h = _load_target(target[4:])
-        target = "hom"
-    elif target not in ("colorings", "indsets"):
-        raise InvalidParameterError(f"unknown target {target!r}")
-    if target == "colorings":
-        if args.q is None:
-            raise InvalidParameterError("--q is required for --target colorings")
-        if args.q < 0:
-            raise InvalidParameterError("q must be non-negative")
+    # the verdicts are looked up here, not at import: bench/tracing.py wraps
+    # cli.conjecture_verdict and cli.alon_kahn_verdict by name
+    q = None
+    if args.target.startswith("hom:"):
+        verdict = partial(hom_conjecture_verdict, h=_load_target(args.target[4:]))
+    elif args.target == "indsets":
+        verdict = alon_kahn_verdict
+    elif args.target != "colorings":
+        raise InvalidParameterError(f"unknown target {args.target!r}")
+    elif args.q is None:
+        raise InvalidParameterError("--q is required for --target colorings")
+    elif args.q < 0:
+        raise InvalidParameterError("q must be non-negative")
+    else:
+        verdict, q = partial(conjecture_verdict, q=args.q), args.q
 
     # one ordered map for every --jobs: the first failing record in file
     # order raises, wherever it ran
-    verify = partial(_verify_one, q=args.q, target=target, h=h)
+    verify = partial(_verify_one, verdict=verdict, q=q)
     if args.jobs > 1:
         # the chunk size, computed as Pool.map computes it, needs the count
         records = list(records)
@@ -329,10 +328,10 @@ def cmd_verify(args) -> int:
         import multiprocessing
 
         abandoned = multiprocessing.Event()
-        pool = multiprocessing.Pool(args.jobs, _start_worker, (abandoned,))
+        pool = multiprocessing.Pool(args.jobs, _start_worker, (abandoned, verify))
         try:
             chunksize = -(-len(records) // (4 * args.jobs))
-            results = pool.imap(partial(_unless_abandoned, verify), records, chunksize=chunksize)
+            results = pool.imap(_unless_abandoned, records, chunksize=chunksize)
             lines, failures, summary = _verify_report(results, args.format)
         except BaseException:
             abandoned.set()

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Sequence
 
 from .errors import CapExceededError, InvalidParameterError
-from .graphs import Graph, TargetGraph, bfs, complete_target
+from .graphs import Graph, TargetGraph, bfs, complete_target, vertices_of
 
 # Live states allowed in one step of any frontier pass; a step holds two
 # tables.  When CapExceededError was raised (Python 3.11), over-cap colouring
@@ -40,16 +40,6 @@ DEFAULT_STATE_CAP = 1_000_000
 # a random cubic graph with n = 20 at q = 4 reaches the cap after 31 s at
 # 17 MB of RSS; the cubic families with n <= 12 at q <= 5 take at most 6*10^5.
 BACKTRACK_NODE_CAP = 100_000_000
-
-
-def _bfs_order(g: Graph) -> tuple[list[int], list[int]]:
-    # the vertex order of backtracking, graphs.bfs over all of g as in every
-    # frontier pass, and each vertex's position in it
-    order = bfs(g.rows, (1 << g.n) - 1)[0]
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    return order, pos
 
 
 def count_colorings(g: Graph, q: int, method: str = "frontier") -> int:
@@ -193,14 +183,12 @@ def count_homomorphisms(g: Graph, h: TargetGraph) -> int:
     """Number of maps V(g) -> V(h) sending edges to edges (loops in h allow
     adjacent preimages to coincide), by backtracking with one leaf per map.
     More than BACKTRACK_NODE_CAP search nodes raise CapExceededError."""
-    if g.n == 0:
-        return 1
-    if h.k == 0:
-        return 0
-    order, pos = _bfs_order(g)
-    earlier: list[list[int]] = []
-    for i, v in enumerate(order):
-        earlier.append([pos[w] for w in g.neighbors(v) if pos[w] < i])
+    # the vertices in BFS order over all of g, as in every frontier pass,
+    # each with its neighbours placed before it
+    steps, placed = [], 0
+    for v in bfs(g.rows, (1 << g.n) - 1)[0]:
+        steps.append((v, vertices_of(g.rows[v] & placed)))
+        placed |= 1 << v
     full = (1 << h.k) - 1
     image = [0] * g.n
     budget = BACKTRACK_NODE_CAP
@@ -209,9 +197,10 @@ def count_homomorphisms(g: Graph, h: TargetGraph) -> int:
         nonlocal budget
         if i == g.n:
             return 1
+        v, earlier = steps[i]
         cand = full
-        for p in earlier[i]:
-            cand &= h.rows[image[p]]
+        for w in earlier:
+            cand &= h.rows[image[w]]
         # the children are charged here, so a leaf costs no update
         budget -= cand.bit_count()
         if budget < 0:
@@ -220,7 +209,7 @@ def count_homomorphisms(g: Graph, h: TargetGraph) -> int:
         while cand:
             t = (cand & -cand).bit_length() - 1
             cand &= cand - 1
-            image[i] = t
+            image[v] = t
             total += rec(i + 1)
         return total
 

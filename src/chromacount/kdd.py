@@ -23,12 +23,13 @@ def eta(q: int) -> int:
 
 def m_count(q: int) -> int:
     """Number of ordered color-set pairs attaining the dominant product:
-    C(q, q/2) for even q and C(q+1, (q+1)/2) for odd q."""
+    C(q, q/2) for even q and C(q+1, (q+1)/2) for odd q >= 3.  At q = 1 no
+    two disjoint nonempty color sets exist, so there are none."""
     if q < 1:
         raise InvalidParameterError("q must be at least 1")
     if q % 2 == 0:
         return comb(q, q // 2)
-    return comb(q + 1, (q + 1) // 2)
+    return comb(q + 1, (q + 1) // 2) if q > 1 else 0
 
 
 def surjections(n: int, k: int) -> int:

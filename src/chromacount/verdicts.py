@@ -80,7 +80,7 @@ def hom_conjecture_verdict(g: Graph, h: TargetGraph) -> Verdict:
     kdd_side = _compare_powers(lhs, 2 * d, kdd_hom, g.n)
     clique_side = _compare_powers(lhs, d + 1, clique_hom, g.n)
     holds = kdd_side.holds or clique_side.holds
-    equality = (kdd_side.holds and kdd_side.equality) or (clique_side.holds and clique_side.equality)
+    equality = kdd_side.equality or clique_side.equality
     slack = max(kdd_side.slack_log2, clique_side.slack_log2)
     return Verdict("hom", (kdd_side, clique_side), holds, equality, slack)
 

@@ -335,6 +335,9 @@ def test_lemma_opt_bound_examples():
     assert out.holds and out.equality and out.bound == pytest.approx(9.0)
     out = lemma_opt_bound([1, 3, 3, 3], Fraction(5, 2), Fraction(1, 2))
     assert out.holds and not out.equality and out.bound == pytest.approx(36.0)
+    # a bound past the float range is displayed as inf; the verdict is exact
+    out = lemma_opt_bound([1, 3] * 600, 2, 1)
+    assert out.holds and out.equality and out.bound == math.inf
 
 
 def test_lemma_opt_bound_validation():

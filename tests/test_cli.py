@@ -12,6 +12,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from functools import partial
 
 import pytest
 
@@ -220,6 +221,20 @@ def test_verify_jobs_deterministic(tmp_path, capsys, monkeypatch, target, fmt):
     assert out1 == out2 and out1
 
 
+@pytest.mark.parametrize("q", ["0", "1"])
+def test_verify_at_q_at_most_one_compares_zero_with_zero(tmp_path, capsys, q):
+    # c_q(G) and c_q(K_{d,d}) are both 0, so both cleared powers are 0
+    path = write_g6(tmp_path, "g.g6", [complete_bipartite(3, 3), complete(4)])
+    code, out = run(capsys, ["verify", "--graphs", path, "--q", q])
+    assert code == EXIT_OK
+    *verdicts, summary = json_lines(out)
+    assert len(verdicts) == 2 and (summary["holds"], summary["equality"], summary["failures"]) == (2, 2, 0)
+    for r in verdicts:
+        assert (r["type"], r["q"], r["holds"], r["equality"], r["slack_log2"]) == ("verdict", int(q), True, True, 0.0)
+        [c] = r["comparisons"]
+        assert (c["lhs_base"], c["rhs_base"], c["holds"], c["equality"]) == ("0", "0", True, True)
+
+
 def _fail_on_n_divisible_by_4(g, q):
     """conjecture_verdict, turned into a failed verdict when 4 divides n."""
     import chromacount.verdicts as verdicts
@@ -239,7 +254,8 @@ def test_verify_report_matches_whole_report_assembly(tmp_path, capsys, monkeypat
     random.Random(14).shuffle(graphs)
     records = [write_graph6(g) for g in graphs]
     path = write_g6(tmp_path, "mixed.g6", graphs)
-    results = [cli._verify_one((line, record), 3, "colorings", None) for line, record in enumerate(records, 1)]
+    verdict = partial(cli.conjecture_verdict, q=3)
+    results = [cli._verify_one((line, record), verdict, 3) for line, record in enumerate(records, 1)]
     # a duplicate record, skipped records, and verdicts that hold and fail
     assert len(set(records)) < len(records)
     assert {r["type"] for r in results} == {"verdict", "skipped"}
@@ -959,6 +975,52 @@ def _verify_every_jobs(capsys, argv):
         captured = capsys.readouterr()
         outcomes.append((code, captured.out, captured.err))
     return outcomes
+
+
+@pytest.mark.parametrize("target", ["colorings", "indsets", "hom"])
+def test_parallel_verify_binds_its_verification_once(tmp_path, capsys, monkeypatch, target):
+    """At --jobs 2 each worker receives the bound verification once, from
+    the pool's initializer, and the tasks are the bare numbered records."""
+    import chromacount.cli as cli
+
+    seen = {}
+    real = multiprocessing.Pool
+
+    def pool(processes, initializer, initargs):
+        seen["initargs"] = initargs
+        p = real(processes, initializer, initargs)
+        real_imap = p.imap
+
+        def imap(func, iterable, chunksize):
+            seen["func"], seen["tasks"] = func, list(iterable)
+            return real_imap(func, iterable, chunksize)
+
+        p.imap = imap
+        return p
+
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    graphs = [*regular_family(6, 3), k4_minus_edge()]
+    path = write_g6(tmp_path, "g.g6", graphs)
+    argv = ["verify", "--graphs", path, "--q", "3"]
+    if target == "indsets":
+        argv += ["--target", "indsets"]
+    elif target == "hom":
+        hfile = tmp_path / "h.json"
+        hfile.write_text(json.dumps({"k": 3, "edges": [[0, 0], [0, 1], [1, 2], [2, 2]]}))
+        argv += ["--target", f"hom:{hfile}"]
+    serial, parallel = _verify_every_jobs(capsys, argv)
+    assert serial == parallel and serial[0] == EXIT_OK
+    assert seen["func"] is cli._unless_abandoned
+    assert seen["tasks"] == list(enumerate(map(write_graph6, graphs), 1))
+    abandoned, verify = seen["initargs"]
+    assert verify.func is cli._verify_one
+    verdict, q = verify.keywords["verdict"], verify.keywords["q"]
+    if target == "colorings":
+        assert (verdict.func, verdict.keywords, q) == (cli.conjecture_verdict, {"q": 3}, 3)
+    elif target == "indsets":
+        assert (verdict, q) == (cli.alon_kahn_verdict, None)
+    else:
+        assert (verdict.func, verdict.keywords["h"].k, q) == (cli.hom_conjecture_verdict, 3, None)
 
 
 def test_parallel_verify_rejects_malformed_line(tmp_path, capsys, monkeypatch):

@@ -28,7 +28,7 @@ from chromacount import (
     relabel,
     write_graph6,
 )
-from chromacount.graphs import Graph
+from chromacount.graphs import Graph, TargetGraph, bfs
 
 from helpers import (
     brute_alpha,
@@ -298,6 +298,15 @@ def test_hom_examples():
     assert count_homomorphisms(g, h_ind()) == brute_count_homomorphisms(g, h_ind())
 
 
+def test_hom_of_the_empty_graph_and_into_the_empty_target():
+    # one map from no vertices, none from at least one vertex into none
+    empty = TargetGraph(0, ())
+    for h in (empty, h_ind(), complete_target(3)):
+        assert count_homomorphisms(Graph(0, ()), h) == 1
+    for g in (complete(1), complete(2), cycle(5), petersen()):
+        assert count_homomorphisms(g, empty) == 0
+
+
 def test_independent_set_memo_cap(monkeypatch):
     import chromacount.counting as counting
 
@@ -347,17 +356,13 @@ def test_independent_set_cap_raises_at_same_vertex(monkeypatch, count, expected)
 
 
 def test_bfs_order_matches_list_queue_reference():
-    from chromacount.counting import _bfs_order
-
     rng = random.Random(12)
     graphs = [complete(1), complete(5), cycle(7), petersen(), disjoint_copies(complete_bipartite(2, 3), 3)]
     graphs += [from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
                for n in range(1, 40) for p in (0.05, 0.2, 0.5)]
     graphs += [random_regular(n, d, rng) for n, d in ((20, 3), (30, 4), (62, 5))]
     for g in graphs:
-        order, pos = _bfs_order(g)
-        assert order == reference_bfs_order(g)
-        assert [pos[v] for v in order] == list(range(g.n))
+        assert bfs(g.rows, (1 << g.n) - 1)[0] == reference_bfs_order(g)
 
 
 def test_count_independent_sets_examples():

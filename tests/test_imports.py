@@ -135,6 +135,13 @@ def test_every_exported_name_resolves():
     assert raised <= set(chromacount.__all__), sorted(raised - set(chromacount.__all__))
 
 
+def test_python_floor_has_int_max_str_digits():
+    # sys.get_int_max_str_digits, which every scan's eps parse calls, came in 3.10.7
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+        floor = re.search(r'^requires-python = ">=([\d.]+)"$', fh.read(), re.M)[1]
+    assert tuple(map(int, floor.split("."))) >= (3, 10, 7)
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         chromacount.no_such_name

@@ -33,6 +33,7 @@ def test_m_count():
     assert m_count(3) == 6
     assert m_count(2) == 2
     assert m_count(5) == 20  # C(6,3)
+    assert m_count(1) == 0  # no two disjoint nonempty colour sets
     with pytest.raises(InvalidParameterError):
         m_count(-1)
 
@@ -47,10 +48,9 @@ def colour_set_pair_census(q):
 
 
 def test_pair_census_totals():
-    # starts at q = 2: at q = 1 there are no pairs, yet m_count(1) is 2
-    for q in range(2, 8):
+    for q in range(1, 8):
         census = colour_set_pair_census(q)
-        top = max(a * b for a, b in census)
+        top = max((a * b for a, b in census), default=0)
         assert eta(q) == top
         assert m_count(q) == sum(pairs for (a, b), pairs in census.items() if a * b == top)
         for d in range(1, 6):
