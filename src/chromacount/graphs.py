@@ -71,7 +71,9 @@ def _check_rows(size: int, rows: Sequence[int], name: str, loops: bool) -> None:
 
 class _Rows:
     """What Graph and TargetGraph share: a vertex count and one adjacency
-    bit mask per vertex, built only through the checks of __new__."""
+    bit mask per vertex, built only through the checks of __new__, except
+    by parse_graph6, whose decoder builds rows that are symmetric, loopless
+    and in range."""
 
     __slots__ = ()
 
@@ -358,7 +360,8 @@ def parse_graph6(data: bytes | str) -> Graph:
             low = col & -col
             rows[low.bit_length() - 1] |= bit
             col ^= low
-    return Graph(n, tuple(rows))
+    # the rows above are symmetric, loopless and in range: skip Graph's check
+    return tuple.__new__(Graph, (n, tuple(rows)))
 
 
 # ---------------------------------------------------------------------------

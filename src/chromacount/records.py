@@ -13,7 +13,7 @@ from __future__ import annotations
 import fcntl
 import json
 import os
-import tempfile
+import stat
 from collections.abc import Iterator
 from contextlib import contextmanager
 from datetime import datetime, timezone
@@ -76,10 +76,19 @@ class RecordStore:
         return True
 
     def save(self) -> None:
+        """Replace the store, keeping its file mode.  A new store gets 0o666
+        less the umask, as open() would make it."""
+        try:
+            mode = stat.S_IMODE(os.stat(self.path).st_mode)
+        except FileNotFoundError:
+            mode = None
         directory = os.path.dirname(os.path.abspath(self.path))
-        fd, tmp = tempfile.mkstemp(prefix=".records-", dir=directory)
+        tmp = os.path.join(directory, f".records-{os.urandom(8).hex()}")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                if mode is not None:
+                    os.fchmod(fh.fileno(), mode)
                 json.dump(self.records, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             os.replace(tmp, self.path)

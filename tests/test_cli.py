@@ -7,6 +7,7 @@ import os
 import random
 import re
 import resource
+import stat
 import subprocess
 import sys
 import time
@@ -515,6 +516,33 @@ def test_scan_records(tmp_path, capsys):
          "--records", str(records)],
     )
     assert code == EXIT_OK
+    assert json.loads(records.read_text())["6:3:3:0"]["best"] == "42"
+
+
+_SCAN_K33_RECORDS = ["scan", "--n", "6", "--d", "3", "--q", "3", "--eps", "0", "--records"]
+
+
+def test_scan_records_keeps_the_store_mode(tmp_path, capsys):
+    # the store is replaced by a temp file, which must take the store's mode
+    records = tmp_path / "records.json"
+    for mode in (0o644, 0o640, 0o664, 0o600):
+        records.write_text("{}\n")
+        records.chmod(mode)
+        assert run(capsys, _SCAN_K33_RECORDS + [str(records)])[0] == EXIT_OK
+        assert stat.S_IMODE(records.stat().st_mode) == mode
+        assert json.loads(records.read_text())["6:3:3:0"]["best"] == "42"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+def test_scan_records_makes_a_new_store_as_open_would(tmp_path, capsys, umask):
+    records = tmp_path / "records.json"
+    saved = os.umask(umask)
+    try:
+        assert run(capsys, _SCAN_K33_RECORDS + [str(records)])[0] == EXIT_OK
+    finally:
+        # the scan left the umask as it was
+        assert os.umask(saved) == umask
+    assert stat.S_IMODE(records.stat().st_mode) == 0o666 & ~umask
     assert json.loads(records.read_text())["6:3:3:0"]["best"] == "42"
 
 

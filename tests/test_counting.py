@@ -400,15 +400,51 @@ def test_maximum_independent_set_lex_first():
 def test_independence_number_matches_networkx_clique_of_complement():
     nx = pytest.importorskip("networkx")
     rng = random.Random(16)
-    for d in (3, 4, 5):
-        for n in (20, 26, 32, 40):
-            g = random_regular(n, d, rng)
-            complement = nx.complement(nx.Graph(g.edges()))
-            complement.add_nodes_from(range(n))
-            _, alpha = nx.max_weight_clique(complement, weight=None)
-            assert independence_number(g) == alpha, (d, n)
-            mis = maximum_independent_set(g)
-            assert len(mis) == alpha and all(not g.has_edge(u, v) for u in mis for v in mis)
+    regular = [random_regular(n, d, rng) for d in (3, 4, 5) for n in (20, 26, 32, 40)]
+    for g in regular + [g for g in _indset_oracle_graphs() if g.n]:
+        graph = nx.empty_graph(g.n)
+        graph.add_edges_from(g.edges())
+        _, alpha = nx.max_weight_clique(nx.complement(graph), weight=None)
+        assert independence_number(g) == alpha, write_graph6(g)
+        mis = maximum_independent_set(g)
+        assert len(mis) == alpha and all(not g.has_edge(u, v) for u in mis for v in mis)
+
+
+def _indset_oracle_graphs():
+    """Seeded graphs with n <= 14: edgeless, disjoint K_{d,d} copies as
+    built and relabelled, random graphs from sparse to dense, disconnected
+    unions with isolated vertices, and random regular graphs."""
+    rng = random.Random(29)
+
+    def shuffled(g):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        return relabel(g, perm)
+
+    def drawn(n, p):
+        return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+    out = [Graph(n, (0,) * n) for n in (0, 1, 5, 14)]
+    for d in range(1, 8):
+        for t in range(1, 14 // (2 * d) + 1):
+            kdd = disjoint_copies(complete_bipartite(d, d), t)
+            out += [kdd, shuffled(kdd)]
+    out += [drawn(n, p) for n in range(1, 15) for p in (0.15, 0.35, 0.6)]
+    out += [disjoint_union(drawn(n // 2, 0.5), Graph(2, (0, 0))) for n in (8, 12)]
+    out += [shuffled(disjoint_union(drawn(n // 2, 0.4), drawn(n - n // 2, 0.4))) for n in (9, 12, 14)]
+    out += [random_regular(n, d, rng) for n, d in ((14, 3), (14, 4), (12, 5))]
+    return out
+
+
+def test_independent_set_pass_matches_its_oracles():
+    # the pass's step against the homomorphism count into h_ind and brute
+    # force over subsets, in counting and in max-plus form
+    for g in _indset_oracle_graphs():
+        count = count_independent_sets(g)
+        assert count == count_homomorphisms(g, h_ind()) == brute_count_independent_sets(g), g
+        mis = brute_maximum_independent_set(g)
+        assert maximum_independent_set(g) == mis, g
+        assert independence_number(g) == len(mis), g
 
 
 def test_independence_number_closed_forms_up_to_n62():

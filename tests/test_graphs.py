@@ -1,4 +1,7 @@
 import hashlib
+import inspect
+import os
+import pickle
 import random
 import time
 from itertools import combinations, permutations
@@ -172,6 +175,26 @@ def test_graph6_random_roundtrip():
         assert parse_graph6(write_graph6(g)) == g
 
 
+def _assert_passes_public_checks(g):
+    # parse_graph6 builds its graph without the row checks; the graph must
+    # pass them when rebuilt by the constructor and by unpickling
+    assert type(g) is Graph
+    assert Graph(g.n, g.rows) == g
+    assert pickle.loads(pickle.dumps(g)) == g
+
+
+def test_only_parse_graph6_builds_graphs_past_the_row_check():
+    # tuple.__new__ skips __new__'s checks; parse_graph6 is its one caller
+    package = os.path.dirname(graphs.__file__)
+    uses = {}
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                uses[name] = fh.read().count("tuple.__new__")
+    assert {name: count for name, count in uses.items() if count} == {"graphs.py": 1}
+    assert inspect.getsource(parse_graph6).count("tuple.__new__(Graph,") == 1
+
+
 def test_graph6_codec_matches_bitwise_reference():
     # every n the single size byte allows, at several densities, with
     # disconnected graphs (a sparse graph, two halves) and both extremes
@@ -187,6 +210,7 @@ def test_graph6_codec_matches_bitwise_reference():
             assert record == reference_write_graph6(g)
             assert parse_graph6(record) == reference_parse_graph6(record) == g
             assert parse_graph6(record.encode() + b"\r\n") == g
+            _assert_passes_public_checks(parse_graph6(record))
 
 
 def test_graph6_record_read_is_the_record_written():
@@ -201,6 +225,7 @@ def test_graph6_record_read_is_the_record_written():
             record = chr(n + 63) + "".join(chr(int(stream[i:i + 6], 2) + 63) for i in range(0, len(stream), 6))
             assert write_graph6(parse_graph6(record)) == record
             assert write_graph6(parse_graph6(record.encode("ascii"))) == record
+            _assert_passes_public_checks(parse_graph6(record))
 
 
 def _parse_outcome(parse, record):
