@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from . import __version__, counting
 from .counting import independence_number, maximum_independent_set
-from .errors import CapExceededError, Graph6ParseError, InvalidParameterError, NotRegularError, UnsupportedSizeError
+from .errors import CapExceededError, Graph6ParseError, InvalidParameterError, NotRegularError
 from .graphs import (
     Graph,
     TargetGraph,
@@ -93,17 +93,20 @@ TARGET_BIT_CAP = 1 << 32
 
 
 def _load_target(path: str) -> TargetGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
         k, edges = data["k"], [tuple(e) for e in data["edges"]]
-        if isinstance(k, int):
-            # before the rows are built, and whether or not a graph follows
-            counting.check_backtrack_target(k)
-            if k > 0 and k * k > TARGET_BIT_CAP:
-                raise CapExceededError(f"hom target of {k} vertices needs {k * k} adjacency bits, over the cap of {TARGET_BIT_CAP} bits")
+        for x in (k, *itertools.chain.from_iterable(edges)):
+            if type(x) is not int:  # JSON true and false are ints too
+                raise TypeError(f"k and every endpoint must be an integer, not {type(x).__name__}")
+        # before the rows are built, and whether or not a graph follows
+        counting.check_backtrack_target(k)
+        if k > 0 and k * k > TARGET_BIT_CAP:
+            raise CapExceededError(f"hom target of {k} vertices needs {k * k} adjacency bits, over the cap of {TARGET_BIT_CAP} bits")
         return target_from_edges(k, edges)
-    except (KeyError, TypeError, ValueError) as exc:
+    # ValueError covers the decoder's and the codec's errors, RecursionError deep nesting; OSError is main's
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InvalidParameterError(f'hom target {path} is not {{"k": K, "edges": [[u, v], ...]}}: {exc}') from None
 
 
@@ -321,16 +324,18 @@ def cmd_verify(args) -> int:
     # one ordered map for every --jobs: the first failing record in file
     # order raises, wherever it ran
     verify = partial(_verify_one, verdict=verdict, q=q)
-    if args.jobs > 1:
-        # the chunk size, computed as Pool.map computes it, needs the count
+    jobs = args.jobs
+    if jobs > 1:
+        # no more workers than records, and the chunk size as Pool.map computes it
         records = list(records)
-    if args.jobs > 1 and len(records) > 1:
+        jobs = min(jobs, len(records))
+    if jobs > 1:
         import multiprocessing
 
         abandoned = multiprocessing.Event()
-        pool = multiprocessing.Pool(args.jobs, _start_worker, (abandoned, verify))
+        pool = multiprocessing.Pool(jobs, _start_worker, (abandoned, verify))
         try:
-            chunksize = -(-len(records) // (4 * args.jobs))
+            chunksize = -(-len(records) // (4 * jobs))
             results = pool.imap(_unless_abandoned, records, chunksize=chunksize)
             lines, failures, summary = _verify_report(results, args.format)
         except BaseException:
@@ -614,17 +619,9 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout is closed (broken pipe)", file=sys.stderr)
         return EXIT_USAGE
-    # bad arguments and malformed input: graph6, JSON of a hom target or of a
-    # records store, bytes that do not decode, a path or a standard stream
-    # that cannot be opened, read or written
-    except (
-        InvalidParameterError,
-        Graph6ParseError,
-        UnsupportedSizeError,
-        OSError,
-        json.JSONDecodeError,
-        UnicodeDecodeError,
-    ) as exc:
+    # bad arguments, malformed input (each reader raises InvalidParameterError)
+    # and a path or a standard stream that cannot be opened, read or written
+    except (InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as exc:

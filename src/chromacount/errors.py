@@ -9,7 +9,7 @@ class NotRegularError(InvalidParameterError):
     """Graph not regular, or regular of too small a degree."""
 
 
-class Graph6ParseError(ValueError):
+class Graph6ParseError(InvalidParameterError):
     """Malformed graph6 input; ``offset`` is the first offending byte of the
     record.  Given ``line``, the message names the record's 1-based line.
     The error pickles, so it crosses from a worker process unchanged."""
@@ -25,7 +25,7 @@ class Graph6ParseError(ValueError):
         return type(self), (self.message, self.offset, self.line)
 
 
-class UnsupportedSizeError(ValueError):
+class UnsupportedSizeError(InvalidParameterError):
     """Graph too large for single-byte graph6 serialization."""
 
 

@@ -467,11 +467,6 @@ def canonical_key(g: Graph) -> tuple[int, int]:
     return (g.n, _pack_blocks(best))
 
 
-def _is_canonical_prefix(rows: Sequence[int], m: int, blocks: list[int]) -> bool:
-    # blocks: _blocks(rows, m), or a longer list that starts with it
-    return not _least_blocks(rows, m, blocks, first=True)
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration of d-regular graphs up to isomorphism
 # ---------------------------------------------------------------------------
@@ -510,7 +505,7 @@ def enumerate_regular(n: int, d: int, *, connected: bool = True) -> Iterator[Gra
 def _generate_regular(n: int, d: int, connected: bool) -> Iterator[Graph]:
     rows = [0] * n
     degs = [0] * n
-    blocks = [0] * n  # blocks[i] of the prefix; adding later vertices keeps it
+    blocks = [0] * n  # blocks[:m] is _blocks(rows, m) of each prefix, as _least_blocks reads it
 
     def feasible(m: int) -> bool:
         # prefix on m vertices is complete; f future vertices remain
@@ -553,7 +548,7 @@ def _generate_regular(n: int, d: int, connected: bool) -> Iterator[Graph]:
                 for i in combo:
                     rows[i] |= 1 << j
                     degs[i] += 1
-                if feasible(j + 1) and _is_canonical_prefix(rows, j + 1, blocks):
+                if feasible(j + 1) and not _least_blocks(rows, j + 1, blocks, first=True):
                     yield from rec(j + 1)
                 for i in combo:
                     rows[i] &= ~(1 << j)

@@ -14,6 +14,7 @@ import fcntl
 import json
 import os
 import stat
+import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
 from datetime import datetime, timezone
@@ -31,13 +32,19 @@ class RecordStore:
     def _read(self) -> dict[str, dict]:
         if not os.path.exists(self.path):
             return {}
-        with open(self.path, "r", encoding="utf-8") as fh:
-            records = json.load(fh)
+        try:
+            with open(self.path, "r", encoding="utf-8") as fh:
+                records = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad bytes or syntax, too long an integer, too deep
+            raise InvalidParameterError(f"records store {self.path} is not JSON: {exc}") from None
         if not isinstance(records, dict):
             raise InvalidParameterError(f"records store {self.path} is not a JSON object")
+        limit = sys.get_int_max_str_digits()  # 0: none; update()'s int() refuses a longer "best"
         for key, rec in records.items():
             if not (isinstance(rec, dict) and isinstance(rec.get("best"), str) and rec["best"].isdecimal()):
                 raise InvalidParameterError(f'records store {self.path}: entry {key!r} has no decimal-string "best"')
+            if 0 < limit < len(rec["best"]):
+                raise InvalidParameterError(f'records store {self.path}: entry {key!r} has a "best" of more than {limit} digits')
         return records
 
     @contextmanager

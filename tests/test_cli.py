@@ -779,6 +779,15 @@ MALFORMED_INPUTS = {
     "records-best-not-decimal": ("records.json", b'{"6:3:3:0": {"best": "x"}}', _records_argv),
     "records-entry-not-an-object": ("records.json", b'{"6:3:3:0": 5}', _records_argv),
     "records-entry-without-best": ("records.json", b'{"6:3:3:0": {}}', _records_argv),
+    # past the integer-to-string limit, past the recursion limit, and JSON
+    # booleans, which Python reads as the ints 1 and 0
+    "hom-integer-too-long": ("h.json", b'{"k": 1' + b"0" * 4999 + b', "edges": []}', _hom_argv),
+    "hom-nested-too-deep": ("h.json", b"[" * 100_000 + b"]" * 100_000, _hom_argv),
+    "hom-k-boolean": ("h.json", b'{"k": true, "edges": []}', _hom_argv),
+    "hom-endpoint-boolean": ("h.json", b'{"k": 2, "edges": [[0, true]]}', _hom_argv),
+    "records-integer-too-long": ("records.json", b'{"6:3:3:0": {"best": "42", "n": 1' + b"0" * 4999 + b"}}", _records_argv),
+    "records-nested-too-deep": ("records.json", b"[" * 100_000 + b"]" * 100_000, _records_argv),
+    "records-best-too-long": ("records.json", b'{"6:3:3:0": {"best": "1' + b"0" * 4999 + b'"}}', _records_argv),
     "scan-odd-nd": ("unused", b"", _odd_nd_argv),
 }
 
@@ -983,12 +992,13 @@ def test_serial_verify_parses_each_line_once(tmp_path, capsys, monkeypatch):
 
 def _spy_pool(monkeypatch):
     """Record the size of every worker pool that verify starts; the pools
-    are real."""
+    are real, and one of more than 4 workers is refused before it starts."""
     started = []
     real = multiprocessing.Pool
 
     def pool(processes, *args, **kwargs):
         started.append(processes)
+        assert processes <= 4, f"verify asked for a pool of {processes} workers"
         return real(processes, *args, **kwargs)
 
     monkeypatch.setattr(multiprocessing, "Pool", pool)
@@ -1058,6 +1068,21 @@ def test_parallel_verify_rejects_malformed_line(tmp_path, capsys, monkeypatch):
     serial, parallel = _verify_every_jobs(capsys, ["verify", "--graphs", str(path), "--q", "3"])
     assert started == [2]
     assert serial == parallel == (EXIT_USAGE, "", "error: line 2: truncated adjacency bits (need 1 bytes, got 0) (byte offset 1)\n")
+
+
+def test_verify_starts_no_more_workers_than_records(tmp_path, capsys, monkeypatch):
+    started = _spy_pool(monkeypatch)
+    corpora = {
+        "three.g6": ([complete(4), complete_bipartite(3, 3), petersen()], [3]),
+        "one.g6": ([petersen()], []),
+        "none.g6": ([], []),
+    }
+    for name, (graphs, pools) in corpora.items():
+        argv = ["verify", "--graphs", write_g6(tmp_path, name, graphs), "--target", "indsets"]
+        serial = run(capsys, argv)
+        started.clear()
+        assert run(capsys, argv + ["--jobs", "64"]) == serial and serial[0] == EXIT_OK
+        assert started == pools, name
 
 
 def test_verify_first_failing_record_decides_for_every_jobs(tmp_path, capsys, monkeypatch):
@@ -1187,6 +1212,47 @@ def test_errors_survive_pickling():
     assert str(back) == "line 3: bad record (byte offset 2)"
     back = pickle.loads(pickle.dumps(errors.Graph6ParseError("bad record", 2)))
     assert (back.line, str(back)) == (None, "bad record (byte offset 2)")
+
+
+def test_every_input_error_is_an_invalid_parameter_error():
+    # main maps InvalidParameterError to exit 64, so a new input error needs
+    # no handler of its own; only a cap exceeded is not one
+    import inspect
+
+    import chromacount.errors as errors
+
+    classes = {c for _, c in inspect.getmembers(errors, inspect.isclass) if c.__module__ == errors.__name__}
+    assert {errors.Graph6ParseError, errors.UnsupportedSizeError, errors.CapExceededError} <= classes
+    for cls in classes - {errors.CapExceededError}:
+        assert issubclass(cls, errors.InvalidParameterError) and issubclass(cls, ValueError), cls
+    assert not issubclass(errors.CapExceededError, ValueError)
+
+
+def test_main_maps_two_types_to_usage_and_one_to_cap():
+    import ast
+    import inspect
+
+    import chromacount.cli as cli
+
+    tree = ast.parse(inspect.getsource(cli.main))
+    handlers = [ast.unparse(h.type) for node in ast.walk(tree) if isinstance(node, ast.Try) for h in node.handlers]
+    assert handlers == ["UsageError", "BrokenPipeError", "(InvalidParameterError, OSError)", "CapExceededError"]
+
+
+@pytest.mark.parametrize("exc", [ValueError("a bug"), json.JSONDecodeError("a bug", "{", 1)], ids=["value", "json"])
+def test_a_bug_in_a_command_is_not_a_usage_error(tmp_path, capsys, monkeypatch, exc):
+    # only a reader's refusal is a usage error: any other ValueError is a
+    # bug, and propagates out of main
+    import chromacount.cli as cli
+
+    def buggy(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_count", buggy)
+    path = write_g6(tmp_path, "g.g6", [complete(4)])
+    with pytest.raises(type(exc), match="a bug"):
+        main(["count", "--graph", path, "--q", "3"])
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("store", [None, b'{"6:3:3:0": {"best": "42"}}'])

@@ -33,7 +33,7 @@ from chromacount import (
     write_graph6,
 )
 from chromacount import count_homomorphisms, graphs
-from chromacount.graphs import _blocks, _is_canonical_prefix, _pack_blocks, bfs, components, regular_degree
+from chromacount.graphs import _blocks, _least_blocks, _pack_blocks, bfs, components, regular_degree
 
 from helpers import (
     k4_minus_edge,
@@ -364,7 +364,7 @@ def test_canonicity_test_agrees_with_canonical_key():
         for m in range(1, len(rows) + 1):
             prefix = [r & ((1 << m) - 1) for r in rows[:m]]
             blocks = _blocks(prefix, m)
-            canonical = _is_canonical_prefix(prefix, m, blocks)
+            canonical = not _least_blocks(prefix, m, blocks, first=True)
             assert canonical == (canonical_key(Graph(m, tuple(prefix)))[1] == _pack_blocks(blocks))
             accepted += canonical
             # the generator's O(1) filter: when the last block, its final bit
@@ -381,14 +381,14 @@ def test_enumerate_regular_canonicity_tests_counted(monkeypatch):
     # a work counter, not a timing: the filter leaves 3,123 of the 12,090
     # searches that (10, 4) needs without it
     calls = 0
-    search = graphs._is_canonical_prefix
+    search = graphs._least_blocks
 
-    def counted(rows, m, blocks):
+    def counted(rows, m, blocks, first=False):
         nonlocal calls
         calls += 1
-        return search(rows, m, blocks)
+        return search(rows, m, blocks, first)
 
-    monkeypatch.setattr(graphs, "_is_canonical_prefix", counted)
+    monkeypatch.setattr(graphs, "_least_blocks", counted)
     assert len(list(enumerate_regular(10, 4))) == 59
     assert calls == 3123
 
