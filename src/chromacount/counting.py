@@ -39,6 +39,8 @@ DEFAULT_STATE_CAP = 1_000_000
 # where there is one leaf per homomorphism.  On a 2-core host (Python 3.11.7)
 # a random cubic graph with n = 20 at q = 4 reaches the cap after 31 s at
 # 17 MB of RSS; the cubic families with n <= 12 at q <= 5 take at most 6*10^5.
+# Each walk of the hom verdict's closed forms (verdicts._set_census) charges
+# its vertex sets to the same cap.
 BACKTRACK_NODE_CAP = 100_000_000
 
 

@@ -41,7 +41,8 @@ class RecordStore:
             raise InvalidParameterError(f"records store {self.path} is not a JSON object")
         limit = sys.get_int_max_str_digits()  # 0: none; update()'s int() refuses a longer "best"
         for key, rec in records.items():
-            if not (isinstance(rec, dict) and isinstance(rec.get("best"), str) and rec["best"].isdecimal()):
+            # isdecimal() alone admits non-ASCII digits, such as fullwidth "９", which int() reads
+            if not (isinstance(rec, dict) and isinstance(rec.get("best"), str) and rec["best"].isascii() and rec["best"].isdecimal()):
                 raise InvalidParameterError(f'records store {self.path}: entry {key!r} has no decimal-string "best"')
             if 0 < limit < len(rec["best"]):
                 raise InvalidParameterError(f'records store {self.path}: entry {key!r} has a "best" of more than {limit} digits')

@@ -9,7 +9,7 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from chromacount import (
     Graph,
@@ -21,6 +21,7 @@ from chromacount import (
     disjoint_copies,
     enumerate_regular,
     from_edges,
+    target_from_edges,
 )
 
 # ---------------------------------------------------------------------------
@@ -319,6 +320,23 @@ def regular_corpus() -> list[tuple[Graph, int]]:
         out.append((cycle(n), 2))
     out.append((disjoint_copies(complete_bipartite(2, 2), 2), 2))
     return out
+
+
+@lru_cache(maxsize=None)
+def target_classes(max_k: int) -> tuple[TargetGraph, ...]:
+    """One target per isomorphism class with 1..max_k vertices, loops
+    allowed: 2, 6, 20 and 90 classes for k = 1..4 (OEIS A000666)."""
+    out = []
+    for k in range(1, max_k + 1):
+        pairs = [(u, v) for u in range(k) for v in range(u, k)]
+        seen = set()
+        for chosen in product((False, True), repeat=len(pairs)):
+            edges = [p for p, c in zip(pairs, chosen) if c]
+            key = min(tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges)) for perm in permutations(range(k)))
+            if key not in seen:
+                seen.add(key)
+                out.append(target_from_edges(k, edges))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

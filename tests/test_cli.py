@@ -349,20 +349,62 @@ def test_verify_hom_computes_each_reference_once(tmp_path, capsys, monkeypatch):
     graphs = list(regular_family(8, 3)) + list(regular_family(10, 3)) + list(regular_family(7, 4))
     path = write_g6(tmp_path, "g.g6", graphs)
     argv = ["verify", "--graphs", path, "--target", f"hom:{hfile}"]
-    calls = []
-    real = verdicts.count_homomorphisms
-    monkeypatch.setattr(verdicts, "count_homomorphisms", lambda g, h: calls.append(write_graph6(g)) or real(g, h))
+    counted, walks = [], []
+    real_count, real_census = verdicts.count_homomorphisms, verdicts._set_census
+    monkeypatch.setattr(verdicts, "count_homomorphisms", lambda g, h: counted.append(write_graph6(g)) or real_count(g, h))
+    monkeypatch.setattr(verdicts, "_set_census", lambda *args: walks.append(args) or real_census(*args))
     verdicts._hom_references.cache_clear()
     code, out = run(capsys, argv)
     assert code == EXIT_OK
-    references = [complete_bipartite(3, 3), complete(4), complete_bipartite(4, 4), complete(5)]
-    assert len(calls) == len(graphs) + len(references)
-    assert all(write_graph6(ref) in calls for ref in references)
+    # the graph side is counted once per record, the references once per (d, H)
+    assert counted == [write_graph6(g) for g in graphs]
+    assert verdicts._hom_references.cache_info().misses == 2 and len(walks) == 4
     # the same report when every verdict computes its references afresh
     monkeypatch.setattr(verdicts, "_hom_references", verdicts._hom_references.__wrapped__)
-    calls.clear()
+    counted.clear()
+    walks.clear()
     assert run(capsys, argv) == (EXIT_OK, out)
-    assert len(calls) == 3 * len(graphs)
+    assert len(counted) == len(graphs) and len(walks) == 2 * len(graphs)
+
+
+def test_verify_hom_references_reach_large_d(tmp_path, capsys):
+    # backtracking the references of K_13 into K_4 went over the node cap
+    # after about a minute; the closed forms take milliseconds
+    hfile = tmp_path / "k4.json"
+    hfile.write_text(json.dumps({"k": 4, "edges": [[u, v] for u in range(4) for v in range(u + 1, 4)]}))
+    path = write_g6(tmp_path, "k13.g6", [complete(13)])
+    start = time.perf_counter()
+    code, out = run(capsys, ["verify", "--graphs", path, "--target", f"hom:{hfile}"])
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_OK
+    kdd_side, clique_side = json_lines(out)[0]["comparisons"]
+    assert (kdd_side["rhs_base"], kdd_side["holds"], kdd_side["equality"]) == ("104816532", True, False)
+    assert (clique_side["rhs_base"], clique_side["holds"], clique_side["equality"]) == ("0", True, True)
+
+
+def test_verify_hom_references_over_node_cap_exit_cap(tmp_path, capsys, monkeypatch):
+    import chromacount.counting as counting
+    import chromacount.verdicts as verdicts
+    from chromacount import CapExceededError, count_homomorphisms, target_from_edges
+
+    monkeypatch.setattr(counting, "BACKTRACK_NODE_CAP", 200)
+    # every vertex looped and adjacent to every other: both walks go over the cap
+    dense = target_from_edges(12, [(u, v) for u in range(12) for v in range(u, 12)])
+    for depth, spread in ((3, True), (4, False)):
+        with pytest.raises(CapExceededError, match="^homomorphism backtracking exceeds search-node cap 200$"):
+            verdicts._set_census(dense.rows, depth, spread)
+    # a looped centre joined to 12 leaves: K_4 maps into it under the cap,
+    # and the sets S of K_{3,3}'s closed form go over it
+    edges = [[0, 0]] + [[0, v] for v in range(1, 13)]
+    assert count_homomorphisms(complete(4), target_from_edges(13, edges)) == 1 + 4 * 12
+    hfile = tmp_path / "star.json"
+    hfile.write_text(json.dumps({"k": 13, "edges": edges}))
+    path = write_g6(tmp_path, "k4.g6", [complete(4)])
+    verdicts._hom_references.cache_clear()
+    code = main(["verify", "--graphs", path, "--target", f"hom:{hfile}"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CAP and captured.out == ""
+    assert captured.err == "error: homomorphism backtracking exceeds search-node cap 200\n"
 
 
 def test_verify_failure_writes_counterexample_bundle(tmp_path, capsys, monkeypatch):
@@ -788,6 +830,8 @@ MALFORMED_INPUTS = {
     "records-integer-too-long": ("records.json", b'{"6:3:3:0": {"best": "42", "n": 1' + b"0" * 4999 + b"}}", _records_argv),
     "records-nested-too-deep": ("records.json", b"[" * 100_000 + b"]" * 100_000, _records_argv),
     "records-best-too-long": ("records.json", b'{"6:3:3:0": {"best": "1' + b"0" * 4999 + b'"}}', _records_argv),
+    # int() reads fullwidth digits: "９９９" as 999, which a scan finding 42 would keep
+    "records-best-fullwidth-digits": ("records.json", '{"6:3:3:0": {"best": "９９９"}}'.encode(), _records_argv),
     "scan-odd-nd": ("unused", b"", _odd_nd_argv),
 }
 
@@ -1751,6 +1795,21 @@ def test_target_over_node_cap_exits_cap_before_it_is_built(tmp_path):
         proc = _cli(argv, **in_1_gib)
         assert (proc.returncode, proc.stdout) == (EXIT_CAP, b""), argv
         assert proc.stderr == b"error: homomorphism backtracking exceeds search-node cap 100000000\n", argv
+
+
+def test_verify_hom_edgeless_target_of_65536_vertices(tmp_path):
+    # no vertex of the target has a neighbour, so neither walk of the
+    # references visits a set
+    k4 = write_g6(tmp_path, "k4.g6", [complete(4)])
+    hfile = tmp_path / "h.json"
+    hfile.write_text(json.dumps({"k": 2**16, "edges": []}))
+    start = time.perf_counter()
+    proc = _cli(["verify", "--graphs", k4, "--target", f"hom:{hfile}"])
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+    verdict = json.loads(proc.stdout.splitlines()[0])
+    assert [(c["lhs_base"], c["rhs_base"]) for c in verdict["comparisons"]] == [("0", "0"), ("0", "0")]
+    assert verdict["holds"] and verdict["equality"]
 
 
 def test_hom_target_over_the_bit_cap_exits_cap_before_it_is_built(tmp_path):

@@ -80,12 +80,15 @@ def petersen_g6(tmp_path):
     [
         ["verify", "--q", "3", "--graphs"],
         ["verify", "--target", "indsets", "--graphs"],
+        ["verify", "--target", "hom:{target}", "--graphs"],
         ["count", "--q", "3", "--method", "both", "--graph"],
     ],
-    ids=["verify-colorings", "verify-indsets", "count"],
+    ids=["verify-colorings", "verify-indsets", "verify-hom", "count"],
 )
 def test_counting_commands_load_no_certificates_records_or_fractions(tmp_path, petersen_g6, argv):
-    loaded = _loaded(argv + [petersen_g6], tmp_path)
+    target = tmp_path / "h.json"
+    target.write_text(json.dumps({"k": 3, "edges": [[0, 0], [1, 1], [2, 2], [0, 1], [1, 2]]}))
+    loaded = _loaded([arg.format(target=target) for arg in argv] + [petersen_g6], tmp_path)
     assert not loaded & HEAVY
     assert not loaded & STARTUP
 

@@ -14,6 +14,7 @@ from chromacount import (
     conjecture_verdict,
     constrained_scan,
     count_colorings,
+    count_colorings_kdd,
     count_homomorphisms,
     count_independent_sets,
     cycle,
@@ -24,7 +25,7 @@ from chromacount import (
     write_graph6,
 )
 
-from helpers import k4_minus_edge, petersen, prism, random_regular, regular_corpus, regular_family
+from helpers import k4_minus_edge, petersen, prism, random_regular, regular_corpus, regular_family, target_classes
 
 
 def test_conjecture_verdict_examples():
@@ -84,6 +85,34 @@ def test_hom_conjecture_examples():
         v = hom_conjecture_verdict(g, h_ind())
         assert v.holds
         assert v.comparisons[0].lhs_base == count_independent_sets(g)
+
+
+def test_hom_references_match_backtracking():
+    from chromacount.verdicts import _hom_references
+
+    for h in target_classes(4):
+        for d in range(1, 6):
+            want = count_homomorphisms(complete_bipartite(d, d), h), count_homomorphisms(complete(d + 1), h)
+            assert _hom_references.__wrapped__(d, h) == want, (h, d)
+
+
+def test_hom_references_meet_the_kdd_closed_forms():
+    from chromacount.verdicts import _hom_references
+
+    for d in range(1, 13):
+        for q in range(1, 8):
+            assert _hom_references.__wrapped__(d, complete_target(q))[0] == count_colorings_kdd(d, q), (d, q)
+        assert _hom_references.__wrapped__(d, h_ind())[0] == 2 ** (d + 1) - 1, d
+
+
+def test_galvin_tetali_on_bipartite_regular_graphs():
+    # Galvin-Tetali (DIMACS Series 63, 2004): hom(G, H) <= hom(K_{d,d}, H)^(n/2d)
+    # for every bipartite d-regular G and every H, so a failure is a bug
+    graphs = [g for d in range(2, 6) for n in range(2 * d, 11, 2) for g in regular_family(n, d) if classify(g).bipartite]
+    assert len(graphs) == 11
+    for g in graphs:
+        for h in target_classes(3):
+            assert hom_conjecture_verdict(g, h).comparisons[0].holds, (write_graph6(g), h)
 
 
 def test_alon_kahn_examples():
