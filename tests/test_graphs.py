@@ -378,26 +378,43 @@ def test_canonicity_test_agrees_with_canonical_key():
 
 
 def test_enumerate_regular_canonicity_tests_counted(monkeypatch):
-    # a work counter, not a timing: the filter leaves 3,123 of the 12,090
-    # searches that (10, 4) needs without it
-    calls = 0
+    # a work counter, not a timing: at (10, 4) the swap filter and the skip
+    # near the leaves cut the searches to 1,405, none on a prefix with 1 or 2
+    # vertices still to come
+    searched = []
     search = graphs._least_blocks
 
     def counted(rows, m, blocks, first=False):
-        nonlocal calls
-        calls += 1
+        searched.append(m)
         return search(rows, m, blocks, first)
 
     monkeypatch.setattr(graphs, "_least_blocks", counted)
     assert len(list(enumerate_regular(10, 4))) == 59
-    assert calls == 3123
+    assert len(searched) == 1405
+    assert not {8, 9} & set(searched)
+    assert 10 in searched
+
+
+def test_enumerate_regular_yields_only_canonical_prefixes():
+    # the skip near the leaves rests on this: every prefix of a yielded
+    # labeling is its own least labeling, so the search on the complete
+    # graph rejects every completion of a prefix that is not
+    for n in range(4, 11):
+        for d in range(3, min(7, n)):
+            if n * d % 2:
+                continue
+            for connected in (True, False):
+                for g in enumerate_regular(n, d, connected=connected):
+                    for m in range(1, n + 1):
+                        prefix = [r & ((1 << m) - 1) for r in g.rows[:m]]
+                        assert not _least_blocks(prefix, m, _blocks(prefix, m), first=True), (write_graph6(g), m)
 
 
 def test_enumerate_regular_counts():
     # OEIS A002851, connected cubic graphs (n = 12 is checked where that family is built)
     assert [len(regular_family(n, 3)) for n in (4, 6, 8, 10)] == [1, 2, 5, 19]
     # OEIS A006820, connected quartic graphs
-    assert [len(regular_family(n, 4)) for n in range(5, 12)] == [1, 1, 2, 6, 16, 59, 265]
+    assert [len(regular_family(n, 4)) for n in range(5, 13)] == [1, 1, 2, 6, 16, 59, 265, 1544]
     # OEIS A006821, connected 5-regular graphs, and A006822, connected 6-regular graphs
     assert [len(regular_family(n, 5)) for n in (6, 8, 10)] == [1, 3, 60]
     assert [len(regular_family(n, 6)) for n in range(7, 11)] == [1, 1, 4, 21]
