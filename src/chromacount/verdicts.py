@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache, reduce
 from operator import or_
@@ -18,11 +18,11 @@ from operator import or_
 from . import counting
 from .counting import count_colorings, count_homomorphisms, count_independent_sets, independence_number
 from .errors import InvalidParameterError, NotRegularError
-from .graphs import Graph, TargetGraph, regular_degree, vertices_of, write_graph6
+from .graphs import Graph, TargetGraph, regular_degree, write_graph6
 # not called here: bench/tracing.py wraps verdicts.classify by name, so the
 # name stays importable
 from .graphs import classify  # noqa: F401
-from .kdd import count_colorings_kdd, surjections
+from .kdd import count_colorings_kdd
 
 
 PowerComparison = namedtuple("PowerComparison", "lhs_base lhs_exp rhs_base rhs_exp holds equality slack_log2")
@@ -73,52 +73,40 @@ def conjecture_verdict(g: Graph, q: int) -> Verdict:
     return _verdict(f"colorings q={q}", _compare_powers(count_colorings(g, q), 2 * d, count_colorings_kdd(d, q), g.n))
 
 
-def _set_census(rows: tuple[int, ...], depth: int, spread: bool) -> Counter:
-    """The non-empty vertex sets S of at most `depth` vertices that a walk
-    adding vertices in increasing order reaches, counted by (|S|, looped
-    vertices of S, |N(S)|), with N(S) the common neighbourhood of S.  The
-    walk starts from the vertices with a neighbour, and extends S by the
-    later vertices in N(S), so every S is a clique, or with `spread` by those
-    with a neighbour in N(S), so every N(S) is non-empty.  Each S is charged
-    to BACKTRACK_NODE_CAP before it is reached."""
-    census = Counter()
+def _common_table(rows: tuple[int, ...], steps: int, inside: bool) -> dict[int, int]:
+    """The common neighbourhoods C of the `steps`-tuples of vertices of H,
+    each with the number of tuples that have it; empty C are dropped.  Each
+    vertex of a tuple has a neighbour, and with `inside` lies in the C of
+    those before it, so every tuple is a clique (a repeated vertex looped).
+    Each (C, candidate) is charged to BACKTRACK_NODE_CAP before it is tried."""
+    reach = reduce(or_, rows, 0)
+    table = {(1 << len(rows)) - 1: 1}
     budget = counting.BACKTRACK_NODE_CAP
-
-    def grow(size: int, loops: int, common: int, cand: int) -> None:
-        nonlocal budget
-        budget -= cand.bit_count()
-        if budget < 0:
-            raise counting._node_cap_error()
-        size += 1
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            inner = common & rows[v]
-            looped = loops + (rows[v] >> v & 1)
-            census[size, looped, inner.bit_count()] += 1
-            if size < depth:
-                nxt = reduce(or_, map(rows.__getitem__, vertices_of(inner)), 0) if spread else inner
-                grow(size, looped, inner, nxt & -(low << 1))
-
-    # N of the empty set is every vertex.  A vertex without a neighbour is a
-    # clique only alone, and maps no K_{d+1} with d >= 1 onto it
-    grow(0, 0, (1 << len(rows)) - 1, reduce(or_, rows, 0))
-    return census
+    for _ in range(steps):
+        nxt: dict[int, int] = {}
+        for common, w in table.items():
+            cand = common & reach if inside else reach
+            budget -= cand.bit_count()
+            if budget < 0:
+                raise counting._node_cap_error()
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                inner = common & rows[low.bit_length() - 1]
+                if inner:
+                    nxt[inner] = nxt.get(inner, 0) + w
+        table = nxt
+    return table
 
 
 @lru_cache(maxsize=None)
 def _hom_references(d: int, h: TargetGraph) -> tuple[int, int]:
-    """hom(K_{d,d}, H) and hom(K_{d+1}, H) in closed form, one computation
-    per (d, H) and process.  K_{d,d} maps one side onto some S, in Surj(d, |S|)
-    ways, and the other into N(S).  K_{d+1} maps onto a clique S with one
-    preimage at each of its u unlooped vertices: C(d+1, u)*u!*Surj(d+1-u, l)
-    ways, with l the looped ones."""
-    kdd_census, clique_census = _set_census(h.rows, d, True), _set_census(h.rows, d + 1, False)
-    kdd_hom = sum(count * surjections(d, size) * common**d for (size, _, common), count in kdd_census.items())
-    clique_hom = sum(
-        count * math.perm(d + 1, size - l) * surjections(d + 1 - size + l, l) for (size, l, _), count in clique_census.items()
-    )
+    """hom(K_{d,d}, H) and hom(K_{d+1}, H), one computation per (d, H) and
+    process.  K_{d,d} maps one side to a d-tuple with common neighbourhood C
+    and the other into C, in |C|^d ways; K_{d+1} maps d vertices to a d-tuple
+    that is a clique and the last into its C."""
+    kdd_hom = sum(w * common.bit_count() ** d for common, w in _common_table(h.rows, d, False).items())
+    clique_hom = sum(w * common.bit_count() for common, w in _common_table(h.rows, d, True).items())
     return kdd_hom, clique_hom
 
 

@@ -350,9 +350,9 @@ def test_verify_hom_computes_each_reference_once(tmp_path, capsys, monkeypatch):
     path = write_g6(tmp_path, "g.g6", graphs)
     argv = ["verify", "--graphs", path, "--target", f"hom:{hfile}"]
     counted, walks = [], []
-    real_count, real_census = verdicts.count_homomorphisms, verdicts._set_census
+    real_count, real_table = verdicts.count_homomorphisms, verdicts._common_table
     monkeypatch.setattr(verdicts, "count_homomorphisms", lambda g, h: counted.append(write_graph6(g)) or real_count(g, h))
-    monkeypatch.setattr(verdicts, "_set_census", lambda *args: walks.append(args) or real_census(*args))
+    monkeypatch.setattr(verdicts, "_common_table", lambda *args: walks.append(args) or real_table(*args))
     verdicts._hom_references.cache_clear()
     code, out = run(capsys, argv)
     assert code == EXIT_OK
@@ -388,17 +388,17 @@ def test_verify_hom_references_over_node_cap_exit_cap(tmp_path, capsys, monkeypa
     from chromacount import CapExceededError, count_homomorphisms, target_from_edges
 
     monkeypatch.setattr(counting, "BACKTRACK_NODE_CAP", 200)
-    # every vertex looped and adjacent to every other: both walks go over the cap
-    dense = target_from_edges(12, [(u, v) for u in range(12) for v in range(u, 12)])
-    for depth, spread in ((3, True), (4, False)):
+    # K_12: both walks go over the cap in their third step at d = 3
+    dense = target_from_edges(12, [(u, v) for u in range(12) for v in range(u + 1, 12)])
+    for inside in (False, True):
         with pytest.raises(CapExceededError, match="^homomorphism backtracking exceeds search-node cap 200$"):
-            verdicts._set_census(dense.rows, depth, spread)
-    # a looped centre joined to 12 leaves: K_4 maps into it under the cap,
-    # and the sets S of K_{3,3}'s closed form go over it
-    edges = [[0, 0]] + [[0, v] for v in range(1, 13)]
-    assert count_homomorphisms(complete(4), target_from_edges(13, edges)) == 1 + 4 * 12
-    hfile = tmp_path / "star.json"
-    hfile.write_text(json.dumps({"k": 13, "edges": edges}))
+            verdicts._common_table(dense.rows, 3, inside)
+    # a perfect matching on 60 vertices: K_4 maps into it in no way at 120
+    # nodes, under the cap, and the walk of K_{3,3} goes over it
+    edges = [[2 * i, 2 * i + 1] for i in range(30)]
+    assert count_homomorphisms(complete(4), target_from_edges(60, edges)) == 0
+    hfile = tmp_path / "matching.json"
+    hfile.write_text(json.dumps({"k": 60, "edges": edges}))
     path = write_g6(tmp_path, "k4.g6", [complete(4)])
     verdicts._hom_references.cache_clear()
     code = main(["verify", "--graphs", path, "--target", f"hom:{hfile}"])
@@ -1458,12 +1458,12 @@ def test_records_reads_lazily(monkeypatch):
     assert data.tell() == 3
 
 
-def _cli(argv, flags=(), **kwargs):
+def _cli(argv, flags=(), timeout=60, **kwargs):
     """One run of the CLI in a new interpreter; stdout and stderr are
     captured unless given."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
-    return subprocess.run([sys.executable, *flags, "-m", "chromacount.cli", *argv], env=env, timeout=60, **streams)
+    return subprocess.run([sys.executable, *flags, "-m", "chromacount.cli", *argv], env=env, timeout=timeout, **streams)
 
 
 def test_closed_stdin_exits_usage():
@@ -1799,7 +1799,7 @@ def test_target_over_node_cap_exits_cap_before_it_is_built(tmp_path):
 
 def test_verify_hom_edgeless_target_of_65536_vertices(tmp_path):
     # no vertex of the target has a neighbour, so neither walk of the
-    # references visits a set
+    # references tries one
     k4 = write_g6(tmp_path, "k4.g6", [complete(4)])
     hfile = tmp_path / "h.json"
     hfile.write_text(json.dumps({"k": 2**16, "edges": []}))
@@ -1810,6 +1810,23 @@ def test_verify_hom_edgeless_target_of_65536_vertices(tmp_path):
     verdict = json.loads(proc.stdout.splitlines()[0])
     assert [(c["lhs_base"], c["rhs_base"]) for c in verdict["comparisons"]] == [("0", "0"), ("0", "0")]
     assert verdict["holds"] and verdict["equality"]
+
+
+def test_verify_hom_star_of_2000_leaves_merges_shared_neighbourhoods(tmp_path):
+    # a looped centre joined to 2,000 leaves: every tuple holding a leaf has
+    # the common neighbourhood {centre}, so the references take milliseconds
+    # where a walk over the vertex sets went over the node cap after a minute
+    k4 = write_g6(tmp_path, "k4.g6", [complete(4)])
+    hfile = tmp_path / "star.json"
+    hfile.write_text(json.dumps({"k": 2001, "edges": [[0, 0]] + [[0, v] for v in range(1, 2001)]}))
+    start = time.perf_counter()
+    proc = _cli(["verify", "--graphs", k4, "--target", f"hom:{hfile}"], timeout=20)
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+    verdict = json.loads(proc.stdout.splitlines()[0])
+    # 2*2001^3 - 1 and 1 + 4*2000
+    assert [c["rhs_base"] for c in verdict["comparisons"]] == ["16024012001", "8001"]
+    assert [c["lhs_base"] for c in verdict["comparisons"]] == ["8001", "8001"]
 
 
 def test_hom_target_over_the_bit_cap_exits_cap_before_it_is_built(tmp_path):

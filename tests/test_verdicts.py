@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from chromacount import (
     h_ind,
     hom_conjecture_verdict,
     looped_vertex,
+    target_from_edges,
     write_graph6,
 )
 
@@ -103,6 +105,15 @@ def test_hom_references_meet_the_kdd_closed_forms():
         for q in range(1, 8):
             assert _hom_references.__wrapped__(d, complete_target(q))[0] == count_colorings_kdd(d, q), (d, q)
         assert _hom_references.__wrapped__(d, h_ind())[0] == 2 ** (d + 1) - 1, d
+    # past any backtracking: looped K_k, the clique side of K_k, and a looped
+    # centre joined to L leaves
+    looped = target_from_edges(64, [(u, v) for u in range(64) for v in range(u, 64)])
+    assert _hom_references.__wrapped__(10, looped) == (64**20, 64**11)
+    assert _hom_references.__wrapped__(5, complete_target(30))[1] == math.perm(30, 6)
+    L = 2000
+    star = target_from_edges(L + 1, [(0, 0)] + [(0, v) for v in range(1, L + 1)])
+    for d in (3, 6):
+        assert _hom_references.__wrapped__(d, star) == (2 * (L + 1) ** d - 1, 1 + (d + 1) * L), d
 
 
 def test_galvin_tetali_on_bipartite_regular_graphs():
