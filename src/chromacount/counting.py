@@ -32,14 +32,17 @@ from .graphs import Graph, TargetGraph, bfs, complete_target, vertices_of
 # tables.  When CapExceededError was raised (Python 3.11), over-cap colouring
 # inputs (random cubic graphs, n = 40 at q = 4 and n = 60 at q = 5) had
 # peaked at 300-460 MB of RSS, and over-cap independent-set inputs (random
-# 3-, 4- and 6-regular graphs, n = 100) at 230-300 MB.
+# 3-, 4- and 6-regular graphs, n = 100) at 230-300 MB.  The hom verdict's
+# reference tables (verdicts._common_sum) hold as many, a key counting one
+# state more per 64 bytes; random targets G(k, 0.3) at k = 1,000 and 1,500
+# reached the cap at 116-130 MB.
 DEFAULT_STATE_CAP = 1_000_000
 
 # Search nodes (partial maps tried) allowed in one homomorphism backtracking,
 # where there is one leaf per homomorphism.  On a 2-core host (Python 3.11.7)
 # a random cubic graph with n = 20 at q = 4 reaches the cap after 31 s at
 # 17 MB of RSS; the cubic families with n <= 12 at q <= 5 take at most 6*10^5.
-# Each walk of the hom verdict's references (verdicts._common_table) charges
+# Each walk of the hom verdict's references (verdicts._common_sum) charges
 # its (neighbourhood, candidate) pairs to the same cap.
 BACKTRACK_NODE_CAP = 100_000_000
 

@@ -17,8 +17,8 @@ from operator import or_
 
 from . import counting
 from .counting import count_colorings, count_homomorphisms, count_independent_sets, independence_number
-from .errors import InvalidParameterError, NotRegularError
-from .graphs import Graph, TargetGraph, regular_degree, write_graph6
+from .errors import CapExceededError, InvalidParameterError, NotRegularError
+from .graphs import Graph, TargetGraph, regular_degree, vertices_of, write_graph6
 # not called here: bench/tracing.py wraps verdicts.classify by name, so the
 # name stays importable
 from .graphs import classify  # noqa: F401
@@ -73,19 +73,36 @@ def conjecture_verdict(g: Graph, q: int) -> Verdict:
     return _verdict(f"colorings q={q}", _compare_powers(count_colorings(g, q), 2 * d, count_colorings_kdd(d, q), g.n))
 
 
-def _common_table(rows: tuple[int, ...], steps: int, inside: bool) -> dict[int, int]:
-    """The common neighbourhoods C of the `steps`-tuples of vertices of H,
-    each with the number of tuples that have it; empty C are dropped.  Each
-    vertex of a tuple has a neighbour, and with `inside` lies in the C of
-    those before it, so every tuple is a clique (a repeated vertex looped).
-    Each (C, candidate) is charged to BACKTRACK_NODE_CAP before it is tried."""
+def _key(mask: int) -> bytes:
+    """A non-empty mask as bytes: its lowest vertex, then the mask from there
+    on.  An int hashes modulo 2^61 - 1, so the sets {v} would share 61 hashes."""
+    low = (mask & -mask).bit_length() - 1
+    return low.to_bytes(4, "little") + (mask >> low).to_bytes((mask.bit_length() - low + 7) // 8, "little")
+
+
+def _common_sum(rows: tuple[int, ...], d: int, clique: bool) -> int:
+    """The sum of |C|^d over the d-tuples of vertices of H, with C the tuple's
+    common neighbourhood, or with `clique` the sum of |C| over the d-tuples
+    that are cliques (a repeated vertex looped).  A table maps each non-empty
+    C of the tuples so far to their number; the last step is summed, not
+    stored.  A tuple grows by the vertices with a neighbour in C, or with
+    `clique` by those in C.  Each (C, candidate) is charged to
+    BACKTRACK_NODE_CAP.  A key counts as one state plus one per 64 bytes, and
+    a table of more than DEFAULT_STATE_CAP states raises CapExceededError."""
+    full = (1 << len(rows)) - 1
     reach = reduce(or_, rows, 0)
-    table = {(1 << len(rows)) - 1: 1}
+    table, total = {_key(full): 1}, 0
     budget = counting.BACKTRACK_NODE_CAP
-    for _ in range(steps):
-        nxt: dict[int, int] = {}
-        for common, w in table.items():
-            cand = common & reach if inside else reach
+    for step in range(d, 0, -1):
+        nxt: dict[bytes, int] = {}
+        held = 0
+        for key, w in table.items():
+            common = int.from_bytes(key[4:], "little") << int.from_bytes(key[:4], "little")
+            # with C every vertex, both candidate sets are `reach`
+            if clique or common == full:
+                cand = common & reach
+            else:
+                cand = reduce(or_, map(rows.__getitem__, vertices_of(common)), 0)
             budget -= cand.bit_count()
             if budget < 0:
                 raise counting._node_cap_error()
@@ -93,10 +110,17 @@ def _common_table(rows: tuple[int, ...], steps: int, inside: bool) -> dict[int, 
                 low = cand & -cand
                 cand ^= low
                 inner = common & rows[low.bit_length() - 1]
-                if inner:
-                    nxt[inner] = nxt.get(inner, 0) + w
+                if inner and step == 1:
+                    total += w * inner.bit_count() ** (1 if clique else d)
+                elif inner:
+                    key = _key(inner)
+                    if key not in nxt:
+                        held += 1 + len(key) // 64
+                    nxt[key] = nxt.get(key, 0) + w
+            if held > counting.DEFAULT_STATE_CAP:
+                raise CapExceededError(f"hom reference table exceeds state cap {counting.DEFAULT_STATE_CAP}")
         table = nxt
-    return table
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -105,9 +129,7 @@ def _hom_references(d: int, h: TargetGraph) -> tuple[int, int]:
     process.  K_{d,d} maps one side to a d-tuple with common neighbourhood C
     and the other into C, in |C|^d ways; K_{d+1} maps d vertices to a d-tuple
     that is a clique and the last into its C."""
-    kdd_hom = sum(w * common.bit_count() ** d for common, w in _common_table(h.rows, d, False).items())
-    clique_hom = sum(w * common.bit_count() for common, w in _common_table(h.rows, d, True).items())
-    return kdd_hom, clique_hom
+    return _common_sum(h.rows, d, False), _common_sum(h.rows, d, True)
 
 
 def hom_conjecture_verdict(g: Graph, h: TargetGraph) -> Verdict:

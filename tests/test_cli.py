@@ -350,9 +350,9 @@ def test_verify_hom_computes_each_reference_once(tmp_path, capsys, monkeypatch):
     path = write_g6(tmp_path, "g.g6", graphs)
     argv = ["verify", "--graphs", path, "--target", f"hom:{hfile}"]
     counted, walks = [], []
-    real_count, real_table = verdicts.count_homomorphisms, verdicts._common_table
+    real_count, real_sum = verdicts.count_homomorphisms, verdicts._common_sum
     monkeypatch.setattr(verdicts, "count_homomorphisms", lambda g, h: counted.append(write_graph6(g)) or real_count(g, h))
-    monkeypatch.setattr(verdicts, "_common_table", lambda *args: walks.append(args) or real_table(*args))
+    monkeypatch.setattr(verdicts, "_common_sum", lambda *args: walks.append(args) or real_sum(*args))
     verdicts._hom_references.cache_clear()
     code, out = run(capsys, argv)
     assert code == EXIT_OK
@@ -390,15 +390,15 @@ def test_verify_hom_references_over_node_cap_exit_cap(tmp_path, capsys, monkeypa
     monkeypatch.setattr(counting, "BACKTRACK_NODE_CAP", 200)
     # K_12: both walks go over the cap in their third step at d = 3
     dense = target_from_edges(12, [(u, v) for u in range(12) for v in range(u + 1, 12)])
-    for inside in (False, True):
+    for clique in (False, True):
         with pytest.raises(CapExceededError, match="^homomorphism backtracking exceeds search-node cap 200$"):
-            verdicts._common_table(dense.rows, 3, inside)
-    # a perfect matching on 60 vertices: K_4 maps into it in no way at 120
-    # nodes, under the cap, and the walk of K_{3,3} goes over it
-    edges = [[2 * i, 2 * i + 1] for i in range(30)]
-    assert count_homomorphisms(complete(4), target_from_edges(60, edges)) == 0
-    hfile = tmp_path / "matching.json"
-    hfile.write_text(json.dumps({"k": 60, "edges": edges}))
+            verdicts._common_sum(dense.rows, 3, clique)
+    # the 5-cube: K_4 maps into it in no way at 192 nodes, under the cap, and
+    # the walk of K_{3,3} goes over it
+    edges = [[u, u ^ (1 << b)] for u in range(32) for b in range(5) if u < u ^ (1 << b)]
+    assert count_homomorphisms(complete(4), target_from_edges(32, edges)) == 0
+    hfile = tmp_path / "cube.json"
+    hfile.write_text(json.dumps({"k": 32, "edges": edges}))
     path = write_g6(tmp_path, "k4.g6", [complete(4)])
     verdicts._hom_references.cache_clear()
     code = main(["verify", "--graphs", path, "--target", f"hom:{hfile}"])

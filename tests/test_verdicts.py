@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from chromacount import (
+    CapExceededError,
     Graph,
     InvalidParameterError,
     alon_kahn_verdict,
@@ -114,6 +115,40 @@ def test_hom_references_meet_the_kdd_closed_forms():
     star = target_from_edges(L + 1, [(0, 0)] + [(0, v) for v in range(1, L + 1)])
     for d in (3, 6):
         assert _hom_references.__wrapped__(d, star) == (2 * (L + 1) ** d - 1, 1 + (d + 1) * L), d
+
+
+def test_hom_references_of_large_sparse_targets_stay_linear():
+    from chromacount.verdicts import _hom_references
+
+    # a tuple grows only by the vertices with a neighbour in its common
+    # neighbourhood, so a bounded-degree target charges O(k) per step: K_{3,3}
+    # maps into each edge of a matching in 2 ways, and into a cycle of length
+    # k >= 5 around each vertex in 2^3 + (2^3 - 2) ways
+    k = 20_000
+    matching = target_from_edges(k, [(2 * i, 2 * i + 1) for i in range(k // 2)])
+    assert _hom_references.__wrapped__(3, matching) == (k, 0)
+    ring = target_from_edges(k, [(i, (i + 1) % k) for i in range(k)])
+    assert _hom_references.__wrapped__(3, ring) == (14 * k, 0)
+
+
+def test_hom_reference_table_over_state_cap(monkeypatch):
+    import chromacount.counting as counting
+    from chromacount.verdicts import _common_sum
+
+    # the first step holds one common neighbourhood per vertex of a matching
+    matching = target_from_edges(20, [(2 * i, 2 * i + 1) for i in range(10)])
+    assert _common_sum(matching.rows, 3, False) == 20
+    monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", 19)
+    with pytest.raises(CapExceededError, match="^hom reference table exceeds state cap 19$"):
+        _common_sum(matching.rows, 3, False)
+    # a looped centre joined to 2,000 leaves: the tables hold {centre}, one
+    # state, and the 2,000 leaves, a key of 4 + 250 bytes and four states
+    star = target_from_edges(2001, [(0, 0)] + [(0, v) for v in range(1, 2001)])
+    monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", 5)
+    assert _common_sum(star.rows, 3, False) == 2 * 2001**3 - 1
+    monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", 4)
+    with pytest.raises(CapExceededError, match="^hom reference table exceeds state cap 4$"):
+        _common_sum(star.rows, 3, False)
 
 
 def test_galvin_tetali_on_bipartite_regular_graphs():
